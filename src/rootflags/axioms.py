@@ -4,9 +4,10 @@ A permissible uniform flag complex triangulates the boundary exactly when
 its family of matching faces satisfies the support axiom (for every pair
 of disjoint equal-size node sets I, J there is a unique matching face from
 I onto J) and the linkage axiom (a matching face can absorb any outside
-node by relinking one arrow endpoint).  Both are decided here by brute
-force, together with the underlying matching-ensemble axioms on complete
-bipartite graphs and the spanning-tree correspondence.
+node by relinking one arrow endpoint).  Both are decided here
+exhaustively on the adjacency bitmasks of ``complexes.adjacency``, together
+with the underlying matching-ensemble axioms on complete bipartite graphs
+and the spanning-tree correspondence.
 
 Bipartite objects live on K_{a,b} with left part 1..a and right part 1..b;
 edges are plain (left, right) pairs and matchings/forests are frozensets
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .complexes import enumerate_faces
-from .rules import Arrow, RuleSet, arrows_of, is_edge, pair_relation, parse_nodes
+from .complexes import _pair_classes, adjacency, check_resource_cap
+from .rules import Arrow, RuleSet, arrows_of, is_edge, parse_nodes
 
 Matching = frozenset[Arrow]
 BipartiteEdge = tuple[int, int]
@@ -71,10 +72,53 @@ def _arrow_json(arrows: Iterable[Arrow]) -> list[list[int]]:
     return [[a.tail, a.head] for a in sorted(arrows)]
 
 
-def _is_face(rs: RuleSet, arrows: Sequence[Arrow]) -> bool:
-    return all(
-        is_edge(rs, a, b) for a, b in itertools.combinations(arrows, 2)
+@lru_cache(maxsize=16)
+def _index_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """index[t][h]: position of the arrow (t, h) in ``arrows_of(n)``."""
+    size = n + 2
+    return tuple(
+        tuple((t - 1) * n + h - 1 - (h > t) for h in range(size)) for t in range(size)
     )
+
+
+@lru_cache(maxsize=16)
+def _node_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per node, the masks of the arrows of V_n leaving it and entering it."""
+    leaving = [0] * (n + 2)
+    entering = [0] * (n + 2)
+    for v, (t, h) in enumerate(arrows_of(n)):
+        leaving[t] |= 1 << v
+        entering[h] |= 1 << v
+    return tuple(leaving), tuple(entering)
+
+
+@lru_cache(maxsize=16)
+def _touch_masks(n: int) -> tuple[int, ...]:
+    """Per arrow of V_n, the mask of the arrows that share a node with it."""
+    leaving, entering = _node_masks(n)
+    return tuple(
+        leaving[t] | entering[t] | leaving[h] | entering[h] for t, h in arrows_of(n)
+    )
+
+
+@lru_cache(maxsize=16)
+def _pair_checks(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The arrow pairs i < j of V_n that permissibility (a) and (b) inspect,
+    in pair order: (i, j, -1, -1) for a shared tail or head, and
+    (i, j, i2, j2) for four distinct nodes, (i2, j2) being the other
+    diagonal of their square."""
+    arrows, shared, rows = _pair_classes(n)
+    disjoint = [0] * len(arrows)
+    for row in rows.values():
+        disjoint = [x | y for x, y in zip(disjoint, row)]
+    index = _index_table(n)
+    out = []
+    for (i, a), (j, b) in itertools.combinations(enumerate(arrows), 2):
+        if shared[i] >> j & 1:
+            out.append((i, j, -1, -1))
+        elif disjoint[i] >> j & 1:
+            out.append((i, j, index[a.tail][b.head], index[b.tail][a.head]))
+    return tuple(out)
 
 
 def all_support_matchings(
@@ -128,72 +172,275 @@ def _disjoint_pairs(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]
                 yield tails, heads
 
 
+def _words(k: int) -> Iterator[str]:
+    """All T/H words with k tails and k heads."""
+    for tails in itertools.combinations(range(2 * k), k):
+        yield "".join("T" if p in tails else "H" for p in range(2 * k))
+
+
+def _word_matchings(
+    n: int, masks: Sequence[int], word: str
+) -> list[tuple[tuple[int, int], ...]]:
+    """Matchings of a T/H word's tail positions onto its head positions whose
+    arrows are pairwise edges, with the word placed on nodes 1..len(word).
+
+    Each matching is a tuple of 0-based (tail, head) positions in tail order;
+    the list is in the order of ``all_support_matchings``: tails in order,
+    each trying the free heads in increasing order.
+    """
+    index = _index_table(n)
+    tails = [p for p, letter in enumerate(word) if letter == "T"]
+    heads = [p for p, letter in enumerate(word) if letter == "H"]
+    found: list[tuple[tuple[int, int], ...]] = []
+    chosen: list[tuple[int, int]] = []
+
+    def assign(k: int, free: int, cand: int) -> None:
+        if k == len(tails):
+            found.append(tuple(chosen))
+            return
+        t = tails[k]
+        for h in heads:
+            v = index[t + 1][h + 1]
+            if free >> h & 1 and cand >> v & 1:
+                chosen.append((t, h))
+                assign(k + 1, free & ~(1 << h), cand & masks[v])
+                chosen.pop()
+
+    assign(0, -1, -1)
+    return found
+
+
 def check_support_axiom(
     rs: RuleSet, n: int, all_witnesses: bool = False
 ) -> AxiomReport:
+    """Demand a unique matching face from I onto J for every pair of disjoint
+    equal-size node sets.
+
+    By uniformity the matchings depend only on the T/H word that I and J
+    trace on the number line, so each word is solved once.  Only when some
+    word has no or several matchings are the (I, J) pairs walked, in order,
+    to list the witnesses with the word's matchings relabeled onto them.
+    """
+    _, masks = adjacency(rs, n)
+    by_word = {
+        word: _word_matchings(n, masks, word)
+        for k in range(1, (n + 1) // 2 + 1)
+        for word in _words(k)
+    }
     witnesses = []
-    for tails, heads in _disjoint_pairs(n):
-        matchings = all_support_matchings(rs, tails, heads)
-        if len(matchings) != 1:
-            witnesses.append(
-                Violation(
-                    "support",
-                    {
-                        "I": list(tails),
-                        "J": list(heads),
-                        "count": len(matchings),
-                        "matchings": [_arrow_json(m) for m in matchings],
-                    },
+    if any(len(matchings) != 1 for matchings in by_word.values()):
+        for tails, heads in _disjoint_pairs(n):
+            nodes = sorted(tails + heads)
+            matchings = by_word["".join("T" if x in tails else "H" for x in nodes)]
+            if len(matchings) != 1:
+                witnesses.append(
+                    Violation(
+                        "support",
+                        {
+                            "I": list(tails),
+                            "J": list(heads),
+                            "count": len(matchings),
+                            "matchings": [
+                                [[nodes[t], nodes[h]] for t, h in m] for m in matchings
+                            ],
+                        },
+                    )
                 )
-            )
-            if not all_witnesses:
-                break
+                if not all_witnesses:
+                    break
     return AxiomReport("support", not witnesses, tuple(witnesses))
+
+
+def _matching_cliques(n: int, masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Arrow indices of the nonempty matching faces, in the lexicographic
+    order of ``enumerate_faces``: its DFS with the candidates cut down to
+    the arrows that touch no node of the face so far."""
+    touch = _touch_masks(n)
+    prefix: list[int] = []
+
+    def rec(cand: int) -> Iterator[tuple[int, ...]]:
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            prefix.append(v)
+            yield tuple(prefix)
+            yield from rec(cand & masks[v] & ~touch[v])
+            prefix.pop()
+
+    yield from rec((1 << len(masks)) - 1)
 
 
 def matching_faces(rs: RuleSet, n: int) -> Iterator[Matching]:
     """All faces that are matchings (pairwise node-disjoint arrows)."""
-    for face in enumerate_faces(rs, n):
-        if face.arrows and face.is_matching:
-            yield frozenset(face.arrows)
+    check_resource_cap(n)
+    arrows, masks = adjacency(rs, n)
+    for face in _matching_cliques(n, masks):
+        yield frozenset(arrows[v] for v in face)
+
+
+def _relinks(
+    n: int, masks: Sequence[int], sigma: Sequence[tuple[int, int]], k: int
+) -> tuple[bool, bool]:
+    """Whether the matching face sigma, given as (tail, head) node pairs, can
+    absorb the outside node k as a tail, and as a head, by relinking one
+    arrow so that the new arrow is an edge to every other arrow of sigma."""
+    index = _index_table(n)
+    arrows = [index[t][h] for t, h in sigma]
+    as_tail = as_head = False
+    for i, (t, h) in enumerate(sigma):
+        rest = -1
+        for j, w in enumerate(arrows):
+            if j != i:
+                rest &= masks[w]
+        as_tail = as_tail or bool(rest >> index[k][h] & 1)
+        as_head = as_head or bool(rest >> index[t][k] & 1)
+    return as_tail, as_head
+
+
+def _linkage_holds_on_words(n: int, masks: Sequence[int]) -> bool:
+    """Linkage decided once per T/H word: every matching of every word of
+    length 2r <= n, placed on nodes 1..2r+1 around each outside node k,
+    relinks to absorb k on both sides.  By uniformity this is the linkage
+    axiom for all matching faces at size n."""
+    for r in range(1, n // 2 + 1):
+        for word in _words(r):
+            for matching in _word_matchings(n, masks, word):
+                for k in range(1, 2 * r + 2):
+                    sigma = [
+                        (t + 1 + (t + 1 >= k), h + 1 + (h + 1 >= k)) for t, h in matching
+                    ]
+                    if not all(_relinks(n, masks, sigma, k)):
+                        return False
+    return True
 
 
 def check_linkage_axiom(
     rs: RuleSet, n: int, all_witnesses: bool = False
 ) -> AxiomReport:
     """For every nonempty matching face and every node k outside it, demand
-    a relink that absorbs k as a tail and one that absorbs k as a head."""
+    a relink that absorbs k as a tail and one that absorbs k as a head.
+
+    The verdict is decided once per T/H word; only when it fails are the
+    matching faces walked, in the order of ``matching_faces``, to list the
+    witnesses."""
+    check_resource_cap(n)
+    arrows, masks = adjacency(rs, n)
+    if _linkage_holds_on_words(n, masks):
+        return AxiomReport("linkage", True)
     witnesses = []
-    for sigma in matching_faces(rs, n):
-        covered = {x for a in sigma for x in a}
-        others = list(sigma)
+    for face in _matching_cliques(n, masks):
+        sigma = [arrows[v] for v in face]
+        covered = 0
+        for a in sigma:
+            covered |= 1 << a.tail | 1 << a.head
         for k in range(1, n + 2):
-            if k in covered:
+            if covered >> k & 1:
                 continue
-            for side in ("tail", "head"):
-                ok = False
-                for arrow in sigma:
-                    new = Arrow(k, arrow.head) if side == "tail" else Arrow(arrow.tail, k)
-                    rest = [a for a in others if a != arrow]
-                    if all(is_edge(rs, new, a) for a in rest):
-                        ok = True
-                        break
-                if not ok:
-                    witnesses.append(
-                        Violation(
-                            "linkage",
-                            {
-                                "matching": _arrow_json(sigma),
-                                "I": sorted(a.tail for a in sigma),
-                                "J": sorted(a.head for a in sigma),
-                                "k": k,
-                                "side": side,
-                            },
-                        )
+            for side, ok in zip(("tail", "head"), _relinks(n, masks, sigma, k)):
+                if ok:
+                    continue
+                witnesses.append(
+                    Violation(
+                        "linkage",
+                        {
+                            "matching": _arrow_json(sigma),
+                            "I": sorted(a.tail for a in sigma),
+                            "J": sorted(a.head for a in sigma),
+                            "k": k,
+                            "side": side,
+                        },
                     )
-                    if not all_witnesses:
-                        return AxiomReport("linkage", False, tuple(witnesses))
+                )
+                if not all_witnesses:
+                    return AxiomReport("linkage", False, tuple(witnesses))
     return AxiomReport("linkage", not witnesses, tuple(witnesses))
+
+
+def _has_circuit(
+    n: int, arrows: Sequence[Arrow], masks: Sequence[int], cand: int, free: int = 0
+) -> bool:
+    """Whether the arrows in free, together with a clique of arrows in cand,
+    contain a circuit.  free must be a face and cand lie in the common
+    neighbourhood of its arrows.
+
+    A face with a cycle contains a simple one, and tails and heads of a face
+    are disjoint, so the cycle alternates t1 -> h1 <- t2 -> h2 <- ... <- t1.
+    Search such cycles from their least tail t1 by a path DFS: each arrow
+    taken from cand ANDs its mask into the candidates, and the cycle closes
+    at head h when the arrow (t1, h) is still free or a candidate.
+    """
+    index = _index_table(n)
+    leaving, entering = _node_masks(n)
+    above = [0] * (n + 3)  # above[t]: the arrows whose tail exceeds t
+    for t in range(n + 1, 0, -1):
+        above[t - 1] = above[t] | leaving[t]
+
+    def from_head(t1: int, h: int, cand: int, used: int) -> bool:
+        step = (cand | free) & entering[h] & above[t1]
+        while step:
+            low = step & -step
+            v = low.bit_length() - 1
+            step ^= low
+            t = arrows[v].tail
+            if used >> t & 1:
+                continue
+            nxt = cand if free >> v & 1 else cand & masks[v]
+            if from_tail(t1, t, nxt, used | 1 << t):
+                return True
+        return False
+
+    def from_tail(t1: int, t: int, cand: int, used: int) -> bool:
+        step = (cand | free) & leaving[t]
+        while step:
+            low = step & -step
+            v = low.bit_length() - 1
+            step ^= low
+            h = arrows[v].head
+            if used >> h & 1:
+                continue
+            nxt = cand if free >> v & 1 else cand & masks[v]
+            if (nxt | free) >> index[t1][h] & 1 or from_head(t1, h, nxt, used | 1 << h):
+                return True
+        return False
+
+    for t1 in range(1, n + 2):
+        first = (cand | free) & leaving[t1]
+        while first:
+            low = first & -first
+            v = low.bit_length() - 1
+            first ^= low
+            h1 = arrows[v].head
+            nxt = cand if free >> v & 1 else cand & masks[v]
+            if from_head(t1, h1, nxt, 1 << t1 | 1 << h1):
+                return True
+    return False
+
+
+def _circuit_faces(
+    n: int, arrows: Sequence[Arrow], masks: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """Arrow indices of the faces that contain a circuit, in the order of
+    ``enumerate_faces``: its DFS, skipping every subtree whose faces are
+    all forests."""
+    prefix: list[int] = []
+
+    def rec(face: int, cand: int, closed: bool) -> Iterator[tuple[int, ...]]:
+        if closed:
+            yield tuple(prefix)
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            sub = cand & masks[v]
+            if closed or _has_circuit(n, arrows, masks, sub, face | low):
+                prefix.append(v)
+                yield from rec(
+                    face | low, sub, closed or _has_circuit(n, arrows, masks, 0, face | low)
+                )
+                prefix.pop()
+
+    yield from rec(0, (1 << len(masks)) - 1, False)
 
 
 def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> AxiomReport:
@@ -201,42 +448,44 @@ def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axiom
 
     (a) every shared-tail and shared-head pair is an edge, (b) exactly one
     diagonal of each square face is an edge, (c) every clique is an
-    admissible forest.  (a) and (b) hold for all 64 codes by construction
-    of the edge predicate; (c) can genuinely fail for invalid codes and is
-    decided by exhaustive clique scanning.
+    admissible forest.  (a) and (b) are read off the adjacency masks pair by
+    pair; they hold for all 64 codes by construction of the edge predicate.
+    For (c), every clique is admissible, since a pair in which a node is the
+    head of one arrow and the tail of the other is never an edge; whether
+    some clique contains a circuit is decided by a search for alternating
+    cycles whose arrows are pairwise edges (``_has_circuit``), and this can
+    genuinely succeed for invalid codes.  Only then are the faces walked, on
+    the masks and in the order of ``enumerate_faces``, to report the first
+    (or every) face that contains a circuit.
     """
+    check_resource_cap(n)
+    arrows, masks = adjacency(rs, n)
     witnesses = []
-    arrows = arrows_of(n)
-    for a, b in itertools.combinations(arrows, 2):
-        rel = pair_relation(a, b)
-        if rel.kind == "shared" and not is_edge(rs, a, b):
-            witnesses.append(
-                Violation("permissible", {"pair": _arrow_json([a, b]), "reason": "shared pair not an edge"})
-            )
-        if rel.kind == "disjoint":
-            other = (Arrow(a.tail, b.head), Arrow(b.tail, a.head))
-            if is_edge(rs, a, b) == is_edge(rs, *other):
-                witnesses.append(
-                    Violation(
-                        "permissible",
-                        {"pair": _arrow_json([a, b]), "reason": "square has zero or two diagonals"},
-                    )
-                )
-        if witnesses and not all_witnesses:
+    for i, j, i2, j2 in _pair_checks(n):
+        edge = masks[i] >> j & 1
+        if i2 < 0:
+            if edge:
+                continue
+            reason = "shared pair not an edge"
+        else:
+            if edge != masks[i2] >> j2 & 1:
+                continue
+            reason = "square has zero or two diagonals"
+        witnesses.append(
+            Violation("permissible", {"pair": _arrow_json([arrows[i], arrows[j]]), "reason": reason})
+        )
+        if not all_witnesses:
             return AxiomReport("permissible", False, tuple(witnesses))
-    for face in enumerate_faces(rs, n):
-        heads = {a.head for a in face.arrows}
-        tails = {a.tail for a in face.arrows}
-        if heads & tails:
+    if _has_circuit(n, arrows, masks, (1 << len(arrows)) - 1):
+        for face in _circuit_faces(n, arrows, masks):
             witnesses.append(
-                Violation("permissible", {"face": _arrow_json(face.arrows), "reason": "not admissible"})
+                Violation(
+                    "permissible",
+                    {"face": _arrow_json(arrows[v] for v in face), "reason": "contains a circuit"},
+                )
             )
-        elif not face.is_forest:
-            witnesses.append(
-                Violation("permissible", {"face": _arrow_json(face.arrows), "reason": "contains a circuit"})
-            )
-        if witnesses and not all_witnesses:
-            break
+            if not all_witnesses:
+                break
     return AxiomReport("permissible", not witnesses, tuple(witnesses))
 
 

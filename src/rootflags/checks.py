@@ -23,6 +23,8 @@ from .axioms import (
     restriction_ensemble,
 )
 from .complexes import (
+    _iter_cliques,
+    adjacency,
     dimension_face_count,
     enumerate_faces,
     excess_degree,
@@ -301,11 +303,14 @@ def check_forest_polynomials(zorder: int) -> CheckResult:
             counts: dict[tuple[int, int], int] = {}
             back_counts: dict[int, int] = {}
             for m in range(k + 1, 2 * k + 1):
-                for face in enumerate_faces(rs, m - 1, max_arrows=k):
-                    if len(face.arrows) != k or not face.saturated:
+                # saturated k-arrow faces on m nodes, straight off the clique walk
+                arrows, masks = adjacency(rs, m - 1)
+                all_nodes = ((1 << (m + 1)) - 1) & ~1
+                for face, forward, cover, _forest in _iter_cliques(arrows, masks, m - 1, k):
+                    if len(face) != k or cover != all_nodes:
                         continue
-                    counts[(face.forward, m)] = counts.get((face.forward, m), 0) + 1
-                    if face.forward == 0:
+                    counts[(forward, m)] = counts.get((forward, m), 0) + 1
+                    if forward == 0:
                         back_counts[m] = back_counts.get(m, 0) + 1
             poly = srs.g_k(k)
             for m in range(k + 1, 2 * k + 1):

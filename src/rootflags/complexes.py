@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator, Mapping
 
-from .rules import CROSS, NEST, Arrow, RuleSet, arrows_of, is_edge, pair_relation
+from .rules import CROSS, NEST, TYPE_WORDS, Arrow, RuleSet, arrows_of, pair_relation
 
 DEFAULT_MAX_N = 10
 _ENV_CAP = "ROOTFLAGS_MAX_N"
@@ -30,7 +30,10 @@ def resource_cap() -> int:
     raw = os.environ.get(_ENV_CAP)
     if raw is None:
         return DEFAULT_MAX_N
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{_ENV_CAP} must be an integer, got {raw!r}") from None
 
 
 def check_resource_cap(n: int, force: bool = False) -> None:
@@ -44,19 +47,47 @@ def check_resource_cap(n: int, force: bool = False) -> None:
         )
 
 
+@lru_cache(maxsize=16)
+def _pair_classes(
+    n: int,
+) -> tuple[tuple[Arrow, ...], tuple[int, ...], dict[tuple[str, str], tuple[int, ...]]]:
+    """Arrow list, per-arrow masks of the shared-tail/shared-head partners,
+    and per (type word, placement) the per-arrow masks of the node-disjoint
+    partners with that word and placement.
+
+    This sweep does not depend on the rule code: by uniformity an arrow pair
+    is an edge exactly when it shares an endpoint role or its placement is
+    the one the code picks for its word, so every code's adjacency is an OR
+    of these rows.  Inadmissible pairs land in no row.
+    """
+    arrows = tuple(arrows_of(n))
+    m = len(arrows)
+    shared = [0] * m
+    rows: dict[tuple[str, str], list[int]] = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            rel = pair_relation(arrows[i], arrows[j])
+            if rel.kind == "shared":
+                row = shared
+            elif rel.kind == "disjoint":
+                row = rows.setdefault((rel.word, rel.placement), [0] * m)
+            else:
+                continue
+            row[i] |= 1 << j
+            row[j] |= 1 << i
+    return arrows, tuple(shared), {key: tuple(row) for key, row in rows.items()}
+
+
 @lru_cache(maxsize=1024)
 def _adjacency(code: int, n: int) -> tuple[tuple[Arrow, ...], tuple[int, ...]]:
     """Arrow list and per-arrow neighbour bitmasks for (rule set, n)."""
     rs = RuleSet.from_code(code)
-    arrows = tuple(arrows_of(n))
-    m = len(arrows)
-    masks = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if is_edge(rs, arrows[i], arrows[j]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return arrows, tuple(masks)
+    arrows, masks, rows = _pair_classes(n)
+    for word in TYPE_WORDS:
+        row = rows.get((word, rs.placement(word)))
+        if row is not None:
+            masks = tuple(a | b for a, b in zip(masks, row))
+    return arrows, masks
 
 
 def adjacency(rs: RuleSet, n: int) -> tuple[tuple[Arrow, ...], tuple[int, ...]]:
@@ -310,5 +341,7 @@ class ExcessSignature:
 
 
 def excess_signature(rs: RuleSet, n: int) -> ExcessSignature:
+    if n < 0:
+        raise ValueError(f"ambient size must be >= 0, got {n}")
     degrees = sorted(excess_degree(rs, n, a) for a in arrows_of(n))
     return ExcessSignature(n, tuple(degrees))

@@ -1,0 +1,132 @@
+"""Brute-force axiom checks, kept as oracles for the bitmask checks in
+``rootflags.axioms``.
+
+Every check here goes through the edge predicate ``is_edge`` pair by pair and
+walks ``Face`` objects from ``enumerate_faces``; the library decides the same
+questions on adjacency bitmasks.  The reports must agree exactly, witnesses
+and their order included.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterator
+
+from rootflags.axioms import (
+    AxiomReport,
+    Matching,
+    Violation,
+    _arrow_json,
+    _disjoint_pairs,
+    all_support_matchings,
+)
+from rootflags.complexes import enumerate_faces
+from rootflags.rules import Arrow, RuleSet, arrows_of, is_edge, pair_relation
+
+
+def edge_masks(rs: RuleSet, n: int) -> tuple[int, ...]:
+    """Per-arrow neighbour bitmasks from the pairwise edge predicate."""
+    arrows = arrows_of(n)
+    masks = [0] * len(arrows)
+    for i, j in itertools.combinations(range(len(arrows)), 2):
+        if is_edge(rs, arrows[i], arrows[j]):
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return tuple(masks)
+
+
+def matching_faces(rs: RuleSet, n: int) -> Iterator[Matching]:
+    for face in enumerate_faces(rs, n):
+        if face.arrows and face.is_matching:
+            yield frozenset(face.arrows)
+
+
+def check_support_axiom(rs: RuleSet, n: int, all_witnesses: bool = False) -> AxiomReport:
+    witnesses = []
+    for tails, heads in _disjoint_pairs(n):
+        matchings = all_support_matchings(rs, tails, heads)
+        if len(matchings) != 1:
+            witnesses.append(
+                Violation(
+                    "support",
+                    {
+                        "I": list(tails),
+                        "J": list(heads),
+                        "count": len(matchings),
+                        "matchings": [_arrow_json(m) for m in matchings],
+                    },
+                )
+            )
+            if not all_witnesses:
+                break
+    return AxiomReport("support", not witnesses, tuple(witnesses))
+
+
+def check_linkage_axiom(rs: RuleSet, n: int, all_witnesses: bool = False) -> AxiomReport:
+    witnesses = []
+    for sigma in matching_faces(rs, n):
+        covered = {x for a in sigma for x in a}
+        others = list(sigma)
+        for k in range(1, n + 2):
+            if k in covered:
+                continue
+            for side in ("tail", "head"):
+                ok = False
+                for arrow in sigma:
+                    new = Arrow(k, arrow.head) if side == "tail" else Arrow(arrow.tail, k)
+                    rest = [a for a in others if a != arrow]
+                    if all(is_edge(rs, new, a) for a in rest):
+                        ok = True
+                        break
+                if not ok:
+                    witnesses.append(
+                        Violation(
+                            "linkage",
+                            {
+                                "matching": _arrow_json(sigma),
+                                "I": sorted(a.tail for a in sigma),
+                                "J": sorted(a.head for a in sigma),
+                                "k": k,
+                                "side": side,
+                            },
+                        )
+                    )
+                    if not all_witnesses:
+                        return AxiomReport("linkage", False, tuple(witnesses))
+    return AxiomReport("linkage", not witnesses, tuple(witnesses))
+
+
+def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> AxiomReport:
+    witnesses = []
+    arrows = arrows_of(n)
+    for a, b in itertools.combinations(arrows, 2):
+        rel = pair_relation(a, b)
+        if rel.kind == "shared" and not is_edge(rs, a, b):
+            witnesses.append(
+                Violation("permissible", {"pair": _arrow_json([a, b]), "reason": "shared pair not an edge"})
+            )
+        if rel.kind == "disjoint":
+            other = (Arrow(a.tail, b.head), Arrow(b.tail, a.head))
+            if is_edge(rs, a, b) == is_edge(rs, *other):
+                witnesses.append(
+                    Violation(
+                        "permissible",
+                        {"pair": _arrow_json([a, b]), "reason": "square has zero or two diagonals"},
+                    )
+                )
+        if witnesses and not all_witnesses:
+            return AxiomReport("permissible", False, tuple(witnesses))
+    for face in enumerate_faces(rs, n):
+        heads = {a.head for a in face.arrows}
+        tails = {a.tail for a in face.arrows}
+        if heads & tails:
+            witnesses.append(
+                Violation("permissible", {"face": _arrow_json(face.arrows), "reason": "not admissible"})
+            )
+        elif not face.is_forest:
+            witnesses.append(
+                Violation("permissible", {"face": _arrow_json(face.arrows), "reason": "contains a circuit"})
+            )
+        if witnesses and not all_witnesses:
+            break
+    return AxiomReport("permissible", not witnesses, tuple(witnesses))

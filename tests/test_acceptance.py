@@ -49,28 +49,29 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 
 
 def test_criterion_1_classification():
-    """Exactly 34 of 64 codes pass SA+LA at n=5, in 15 orbits with the
-    published census; the 30 others fail with a witness."""
-    n = 5
-    passes = []
-    failures = []
-    for code in range(64):
-        rs = RuleSet.from_code(code)
-        sa = check_support_axiom(rs, n)
-        if sa.passed:
-            la = check_linkage_axiom(rs, n)
-            if la.passed:
-                passes.append(rs)
-                continue
-            failures.append((rs, la.witnesses[0]))
-        else:
-            failures.append((rs, sa.witnesses[0]))
-
+    """Exactly 34 of 64 codes pass SA+LA at n=5 and at n=6, in 15 orbits with
+    the published census; the 30 others fail with a witness."""
     expected = set(valid_rulesets())
-    ok = set(passes) == expected and len(passes) == 34 and len(failures) == 30
-    ok = ok and all(witness is not None for _, witness in failures)
-    for rs, witness in failures:
-        print(f"  witness {rs.letters}: {witness.to_json_dict()}")
+    ok = True
+    for n in (5, 6):
+        passes = []
+        failures = []
+        for code in range(64):
+            rs = RuleSet.from_code(code)
+            sa = check_support_axiom(rs, n)
+            if sa.passed:
+                la = check_linkage_axiom(rs, n)
+                if la.passed:
+                    passes.append(rs)
+                    continue
+                failures.append((rs, la.witnesses[0]))
+            else:
+                failures.append((rs, sa.witnesses[0]))
+
+        ok = ok and set(passes) == expected and len(passes) == 34 and len(failures) == 30
+        ok = ok and all(witness is not None for _, witness in failures)
+        for rs, witness in failures:
+            print(f"  n={n} witness {rs.letters}: {witness.to_json_dict()}")
 
     census = orbit_census()
     ok = ok and len(orbits()) == 15
@@ -80,7 +81,7 @@ def test_criterion_1_classification():
     ok = ok and census[ClassLabel.SIMION_B] == [4, 4, 4, 4]
     ok = ok and census[ClassLabel.SIMION_C] == [2]
     report(
-        "criterion 1 (classification at n=5)",
+        "criterion 1 (classification at n=5 and n=6)",
         ok,
         f"{len(passes)} codes pass SA+LA, {len(failures)} fail with witnesses, "
         f"{len(orbits())} orbits with census lex 3 / revlex 3 / a 4 / b 4 / c 1",

@@ -1,0 +1,85 @@
+"""The bitmask axiom checks against the brute-force oracles in brute_axioms,
+over all 64 codes, the invalid ones included.
+
+The reports must agree exactly: verdict, witnesses and their order.  This
+also catches a linkage check that wrongly passes, which the n = 5 verdicts
+alone would not show.
+"""
+
+import pytest
+
+import brute_axioms as brute
+from rootflags import axioms
+from rootflags.axioms import AxiomReport
+from rootflags.complexes import adjacency
+from rootflags.rules import RuleSet
+
+CODES = [RuleSet.from_code(code) for code in range(64)]
+CHECKS = ("check_permissible", "check_support_axiom", "check_linkage_axiom")
+
+
+def _has_circuit(rs, n):
+    arrows, masks = adjacency(rs, n)
+    return axioms._has_circuit(n, arrows, masks, (1 << len(arrows)) - 1)
+
+
+def _first_witness(report):
+    # the brute-force checks stop at the first witness they would list
+    return AxiomReport(report.axiom, report.passed, report.witnesses[:1])
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_adjacency_masks_are_the_edge_predicate(n):
+    for rs in CODES:
+        assert adjacency(rs, n)[1] == brute.edge_masks(rs, n), rs.letters
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_reports_match_oracle_all_witnesses(n):
+    for rs in CODES:
+        for name in CHECKS:
+            want = getattr(brute, name)(rs, n, all_witnesses=True)
+            got = getattr(axioms, name)(rs, n, all_witnesses=True)
+            assert got.to_json_dict() == want.to_json_dict(), (rs.letters, name)
+            first = getattr(axioms, name)(rs, n)
+            assert first.to_json_dict() == _first_witness(want).to_json_dict(), (rs.letters, name)
+
+
+def test_reports_match_oracle_first_witness_n5():
+    n = 5
+    failed = dict.fromkeys(CHECKS, 0)
+    circuits = 0
+    for rs in CODES:
+        wants = {name: getattr(brute, name)(rs, n) for name in CHECKS}
+        for name, want in wants.items():
+            got = getattr(axioms, name)(rs, n)
+            assert got.to_json_dict() == want.to_json_dict(), (rs.letters, name)
+            failed[name] += not want.passed
+        circuit = any(
+            w.detail.get("reason") == "contains a circuit"
+            for w in wants["check_permissible"].witnesses
+        )
+        assert _has_circuit(rs, n) == circuit, rs.letters
+        circuits += circuit
+    # every check was compared on failing codes, not only on passing ones
+    assert all(count > 0 for count in failed.values()), failed
+    assert circuits == 6
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_matching_faces_match_filtered_enumeration(n):
+    for rs in CODES:
+        assert list(axioms.matching_faces(rs, n)) == list(brute.matching_faces(rs, n)), rs.letters
+
+
+def test_circuit_witnesses_match_oracle_all_witnesses_n5():
+    # n = 5 is the least size with circuits, so the full witness listing
+    # of the circuit walk is compared here
+    n = 5
+    circuit_codes = [rs for rs in CODES if _has_circuit(rs, n)]
+    assert len(circuit_codes) == 6
+    for rs in circuit_codes:
+        want = brute.check_permissible(rs, n, all_witnesses=True)
+        got = axioms.check_permissible(rs, n, all_witnesses=True)
+        assert want.witnesses
+        assert got.to_json_dict() == want.to_json_dict(), rs.letters

@@ -192,3 +192,19 @@ def test_bad_value_inputs_are_usage_errors(capsys):
     assert code == 2 and "disjoint" in err
     code, _, err = run_cli(capsys, "faces", "--code", "LEX_NN", "--n", "-1")
     assert code == 2
+
+
+def test_excess_rejects_negative_n(capsys):
+    for argv in (("--code", "LEX_NN"), ("--all-orbits",)):
+        code, out, err = run_cli(capsys, "excess", *argv, "--n", "-1")
+        assert code == 2
+        assert out == ""
+        assert "ambient size must be >= 0, got -1" in err
+
+
+def test_resource_cap_env_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("ROOTFLAGS_MAX_N", "abc")
+    code, out, err = run_cli(capsys, "verify", "LEX_NN", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert "ROOTFLAGS_MAX_N must be an integer, got 'abc'" in err

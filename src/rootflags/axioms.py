@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .complexes import _pair_classes, adjacency, check_resource_cap
-from .rules import Arrow, RuleSet, arrows_of, is_edge, parse_nodes
+from .complexes import _pair_classes, adjacency, check_ambient_size, check_resource_cap
+from .matchings import th_word
+from .rules import Arrow, RuleSet, arrows_of, parse_nodes
 
 Matching = frozenset[Arrow]
 BipartiteEdge = tuple[int, int]
@@ -124,30 +125,19 @@ def _pair_checks(n: int) -> tuple[tuple[int, int, int, int], ...]:
 def all_support_matchings(
     rs: RuleSet, tails: Sequence[int], heads: Sequence[int]
 ) -> list[Matching]:
-    """All matchings of I onto J whose arrows are pairwise edges."""
-    tails = parse_nodes(tails)
-    heads = parse_nodes(heads)
-    if set(tails) & set(heads):
-        raise ValueError("tail and head sets must be disjoint")
-    if len(tails) != len(heads):
-        raise ValueError("tail and head sets must have equal size")
+    """All matchings of I onto J whose arrows are pairwise edges, in tail
+    order, each tail trying the free heads in increasing order.
 
-    found: list[Matching] = []
-    chosen: list[Arrow] = []
-
-    def assign(k: int, free_heads: tuple[int, ...]) -> None:
-        if k == len(tails):
-            found.append(frozenset(chosen))
-            return
-        for idx, h in enumerate(free_heads):
-            arrow = Arrow(tails[k], h)
-            if all(is_edge(rs, arrow, prev) for prev in chosen):
-                chosen.append(arrow)
-                assign(k + 1, free_heads[:idx] + free_heads[idx + 1:])
-                chosen.pop()
-
-    assign(0, heads)
-    return found
+    By uniformity they are the matchings of the T/H word that I and J trace,
+    solved on nodes 1..|I|+|J| and relabeled onto I and J.
+    """
+    word = th_word(tails, heads)
+    nodes = word.positions
+    n = max(len(nodes) - 1, 0)
+    return [
+        frozenset(Arrow(nodes[t], nodes[h]) for t, h in matching)
+        for matching in _word_matchings(n, adjacency(rs, n)[1], word.word)
+    ]
 
 
 def support_matching(
@@ -221,6 +211,7 @@ def check_support_axiom(
     word has no or several matchings are the (I, J) pairs walked, in order,
     to list the witnesses with the word's matchings relabeled onto them.
     """
+    check_ambient_size(n)
     _, masks = adjacency(rs, n)
     by_word = {
         word: _word_matchings(n, masks, word)
@@ -251,10 +242,13 @@ def check_support_axiom(
     return AxiomReport("support", not witnesses, tuple(witnesses))
 
 
-def _matching_cliques(n: int, masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Arrow indices of the nonempty matching faces, in the lexicographic
-    order of ``enumerate_faces``: its DFS with the candidates cut down to
-    the arrows that touch no node of the face so far."""
+def _matching_cliques(
+    n: int, masks: Sequence[int], start: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Arrow indices of the nonempty matching faces with all arrows in start
+    (default: every arrow), in the lexicographic order of
+    ``enumerate_faces``: its DFS with the candidates cut down to the arrows
+    that touch no node of the face so far."""
     touch = _touch_masks(n)
     prefix: list[int] = []
 
@@ -268,7 +262,7 @@ def _matching_cliques(n: int, masks: Sequence[int]) -> Iterator[tuple[int, ...]]
             yield from rec(cand & masks[v] & ~touch[v])
             prefix.pop()
 
-    yield from rec((1 << len(masks)) - 1)
+    yield from rec((1 << len(masks)) - 1 if start is None else start)
 
 
 def matching_faces(rs: RuleSet, n: int) -> Iterator[Matching]:
@@ -324,7 +318,7 @@ def check_linkage_axiom(
     The verdict is decided once per T/H word; only when it fails are the
     matching faces walked, in the order of ``matching_faces``, to list the
     witnesses."""
-    check_resource_cap(n)
+    check_ambient_size(n)
     arrows, masks = adjacency(rs, n)
     if _linkage_holds_on_words(n, masks):
         return AxiomReport("linkage", True)
@@ -458,7 +452,7 @@ def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axiom
     the masks and in the order of ``enumerate_faces``, to report the first
     (or every) face that contains a circuit.
     """
-    check_resource_cap(n)
+    check_ambient_size(n)
     arrows, masks = adjacency(rs, n)
     witnesses = []
     for i, j, i2, j2 in _pair_checks(n):
@@ -717,28 +711,21 @@ def phi_inverse(ensemble: BipartiteEnsemble) -> frozenset[EdgeSet]:
 @lru_cache(maxsize=100000)
 def _restriction_by_pattern(code: int, pattern: tuple[str, ...]) -> frozenset[EdgeSet]:
     """Relabeled matchings of a rule set within I x J, keyed by the tail/head
-    pattern of sorted(I + J); uniformity makes the node labels irrelevant."""
-    rs = RuleSet.from_code(code)
-    positions = range(1, len(pattern) + 1)
-    tails = [p for p, letter in zip(positions, pattern) if letter == "T"]
-    heads = [p for p, letter in zip(positions, pattern) if letter == "H"]
+    pattern of sorted(I + J); uniformity makes the node labels irrelevant.
+    They are the matching faces among the arrows from the pattern's tail
+    positions to its head positions, with the pattern placed on nodes
+    1..len(pattern)."""
+    n = max(len(pattern) - 1, 0)
+    arrows, masks = adjacency(RuleSet.from_code(code), n)
+    index = _index_table(n)
+    tails = [p for p, letter in enumerate(pattern, 1) if letter == "T"]
+    heads = [p for p, letter in enumerate(pattern, 1) if letter == "H"]
     left = {node: k + 1 for k, node in enumerate(tails)}
     right = {node: k + 1 for k, node in enumerate(heads)}
-    pairs = [Arrow(t, h) for t in tails for h in heads]
-    out: set[EdgeSet] = set()
-
-    def rec(start: int, chosen: list[Arrow]) -> None:
-        out.add(frozenset((left[a.tail], right[a.head]) for a in chosen))
-        for idx in range(start, len(pairs)):
-            arrow = pairs[idx]
-            if any(arrow.tail == c.tail or arrow.head == c.head for c in chosen):
-                continue
-            if all(is_edge(rs, arrow, c) for c in chosen):
-                chosen.append(arrow)
-                rec(idx + 1, chosen)
-                chosen.pop()
-
-    rec(0, [])
+    start = sum(1 << index[t][h] for t in tails for h in heads)
+    out: set[EdgeSet] = {frozenset()}
+    for face in _matching_cliques(n, masks, start):
+        out.add(frozenset((left[arrows[v].tail], right[arrows[v].head]) for v in face))
     return frozenset(out)
 
 

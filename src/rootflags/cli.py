@@ -483,21 +483,16 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--index", type=int, default=1, help="i or k for the indexed families")
     d.set_defaults(func=cmd_series_dump)
 
-    c = series_sub.add_parser("check", help="run oracle-vs-closed-form comparisons")
-    c.add_argument("--names", nargs="*", help="subset of checks to run")
-    c.add_argument("--all", action="store_true", help="run every check (default)")
-    c.add_argument("--zorder", type=int, default=5)
-    c.add_argument("--jobs", type=int, default=1)
-    add_format(c)
-    c.set_defaults(func=cmd_series_check)
+    def add_series_check(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--names", nargs="*", help="subset of checks to run")
+        p.add_argument("--all", action="store_true", help="run every check (default)")
+        p.add_argument("--zorder", type=int, default=5)
+        p.add_argument("--jobs", type=int, default=1)
+        add_format(p)
+        p.set_defaults(func=cmd_series_check)
 
-    p = sub.add_parser("series-check", help="alias for 'series check'")
-    p.add_argument("--names", nargs="*")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--zorder", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=1)
-    add_format(p)
-    p.set_defaults(func=cmd_series_check)
+    add_series_check(series_sub.add_parser("check", help="run oracle-vs-closed-form comparisons"))
+    add_series_check(sub.add_parser("series-check", help="alias for 'series check'"))
 
     return parser
 

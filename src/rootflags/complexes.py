@@ -36,9 +36,13 @@ def resource_cap() -> int:
         raise ValueError(f"{_ENV_CAP} must be an integer, got {raw!r}") from None
 
 
-def check_resource_cap(n: int, force: bool = False) -> None:
+def check_ambient_size(n: int) -> None:
     if n < 0:
         raise ValueError(f"ambient size must be >= 0, got {n}")
+
+
+def check_resource_cap(n: int, force: bool = False) -> None:
+    check_ambient_size(n)
     cap = resource_cap()
     if n > cap and not force:
         raise ResourceLimitError(
@@ -341,7 +345,8 @@ class ExcessSignature:
 
 
 def excess_signature(rs: RuleSet, n: int) -> ExcessSignature:
-    if n < 0:
-        raise ValueError(f"ambient size must be >= 0, got {n}")
-    degrees = sorted(excess_degree(rs, n, a) for a in arrows_of(n))
+    """The excess degrees of all arrows by the closed form, O(n^2); the
+    brute force ``excess_degree`` is its oracle."""
+    check_ambient_size(n)
+    degrees = sorted(excess_degree_formula(rs, n, a) for a in arrows_of(n))
     return ExcessSignature(n, tuple(degrees))

@@ -7,7 +7,7 @@ face from I onto J in terms of this path: the lex class matches above-axis
 and below-axis runs separately, the revlex class matches across the
 midpoint, and the Simion classes peel off the forward arrows at the marked
 extreme steps of the path and match the rest as backward arrows.  Every
-construction here is validated in the tests against the brute-force
+construction here is validated in the tests against the exhaustive
 unique matching.
 """
 

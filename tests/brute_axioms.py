@@ -4,7 +4,9 @@
 Every check here goes through the edge predicate ``is_edge`` pair by pair and
 walks ``Face`` objects from ``enumerate_faces``; the library decides the same
 questions on adjacency bitmasks.  The reports must agree exactly, witnesses
-and their order included.
+and their order included.  The same holds for the support matchings of one
+(I, J) and the matchings of one restriction pattern, which the library also
+reads off the masks.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from typing import Iterator
 
 from rootflags.axioms import (
     AxiomReport,
+    EdgeSet,
     Matching,
     Violation,
     _arrow_json,
     _disjoint_pairs,
-    all_support_matchings,
 )
 from rootflags.complexes import enumerate_faces
 from rootflags.rules import Arrow, RuleSet, arrows_of, is_edge, pair_relation
@@ -33,6 +35,55 @@ def edge_masks(rs: RuleSet, n: int) -> tuple[int, ...]:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
     return tuple(masks)
+
+
+def all_support_matchings(rs: RuleSet, tails, heads) -> list[Matching]:
+    """All matchings of I onto J whose arrows are pairwise edges: tails in
+    order, each trying the free heads in increasing order."""
+    tails = tuple(sorted(tails))
+    heads = tuple(sorted(heads))
+    found: list[Matching] = []
+    chosen: list[Arrow] = []
+
+    def assign(k: int, free_heads: tuple[int, ...]) -> None:
+        if k == len(tails):
+            found.append(frozenset(chosen))
+            return
+        for idx, h in enumerate(free_heads):
+            arrow = Arrow(tails[k], h)
+            if all(is_edge(rs, arrow, prev) for prev in chosen):
+                chosen.append(arrow)
+                assign(k + 1, free_heads[:idx] + free_heads[idx + 1:])
+                chosen.pop()
+
+    assign(0, heads)
+    return found
+
+
+def restriction_by_pattern(rs: RuleSet, pattern: tuple[str, ...]) -> frozenset[EdgeSet]:
+    """Matchings of the complex within I x J relabeled to K_{a,b}, with the
+    tail/head pattern placed on nodes 1..len(pattern)."""
+    positions = range(1, len(pattern) + 1)
+    tails = [p for p, letter in zip(positions, pattern) if letter == "T"]
+    heads = [p for p, letter in zip(positions, pattern) if letter == "H"]
+    left = {node: k + 1 for k, node in enumerate(tails)}
+    right = {node: k + 1 for k, node in enumerate(heads)}
+    pairs = [Arrow(t, h) for t in tails for h in heads]
+    out: set[EdgeSet] = set()
+
+    def rec(start: int, chosen: list[Arrow]) -> None:
+        out.add(frozenset((left[a.tail], right[a.head]) for a in chosen))
+        for idx in range(start, len(pairs)):
+            arrow = pairs[idx]
+            if any(arrow.tail == c.tail or arrow.head == c.head for c in chosen):
+                continue
+            if all(is_edge(rs, arrow, c) for c in chosen):
+                chosen.append(arrow)
+                rec(idx + 1, chosen)
+                chosen.pop()
+
+    rec(0, [])
+    return frozenset(out)
 
 
 def matching_faces(rs: RuleSet, n: int) -> Iterator[Matching]:

@@ -41,10 +41,16 @@ def test_support_matching_multiplicity_witness():
 
 
 def test_support_matching_validates_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^tail and head sets must be disjoint$"):
         support_matching(LEX, [1, 2], [2, 3])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^tail and head sets must have equal size$"):
         support_matching(LEX, [1], [2, 3])
+
+
+@pytest.mark.parametrize("check", [check_permissible, check_support_axiom, check_linkage_axiom])
+def test_checks_reject_negative_n(check):
+    with pytest.raises(ValueError, match="ambient size must be >= 0, got -1"):
+        check(LEX, -1)
 
 
 def test_support_matching_output_is_a_matching_face():

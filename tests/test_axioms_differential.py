@@ -3,14 +3,18 @@ over all 64 codes, the invalid ones included.
 
 The reports must agree exactly: verdict, witnesses and their order.  This
 also catches a linkage check that wrongly passes, which the n = 5 verdicts
-alone would not show.
+alone would not show.  Support matching lists (in their order) and
+restriction ensembles are compared the same way.
 """
+
+import itertools
+from functools import lru_cache
 
 import pytest
 
 import brute_axioms as brute
-from rootflags import axioms
-from rootflags.axioms import AxiomReport
+from rootflags import axioms, rules
+from rootflags.axioms import AxiomReport, MultiplicityError
 from rootflags.complexes import adjacency
 from rootflags.rules import RuleSet
 
@@ -83,3 +87,45 @@ def test_circuit_witnesses_match_oracle_all_witnesses_n5():
         got = axioms.check_permissible(rs, n, all_witnesses=True)
         assert want.witnesses
         assert got.to_json_dict() == want.to_json_dict(), rs.letters
+
+
+@pytest.fixture
+def shared_pair_relation(monkeypatch):
+    # pair_relation is a pure function of the two arrows, so sharing its
+    # answers across the 64 codes leaves every is_edge answer as it is
+    monkeypatch.setattr(rules, "pair_relation", lru_cache(maxsize=None)(rules.pair_relation))
+
+
+def test_support_matchings_match_oracle(shared_pair_relation):
+    # n = 5 gives every disjoint (I, J) with |I| = |J| <= 3 on nodes 1..6,
+    # so every T/H word of length <= 6 in every placement
+    pairs = list(axioms._disjoint_pairs(5))
+    assert len(pairs) == 140
+    counts = set()
+    for rs in CODES:
+        assert axioms.all_support_matchings(rs, [], []) == [frozenset()]
+        for tails, heads in pairs:
+            want = brute.all_support_matchings(rs, tails, heads)
+            # support_matching returns all_support_matchings' one matching or
+            # raises with its list; the caller's node order does not matter
+            try:
+                got = [axioms.support_matching(rs, tails[::-1], heads)]
+            except MultiplicityError as exc:
+                assert exc.count == len(exc.matchings) != 1
+                got = list(exc.matchings)
+            assert got == want, (rs.letters, tails, heads)
+            counts.add(len(want))
+    # the unique case and both kinds of failure were compared
+    assert 0 in counts and 1 in counts and any(count >= 2 for count in counts), counts
+
+
+def test_restriction_patterns_match_oracle(shared_pair_relation):
+    patterns = [
+        pattern
+        for a, b in itertools.product(range(4), repeat=2)
+        for pattern in set(itertools.permutations("T" * a + "H" * b))
+    ]
+    for rs in CODES:
+        for pattern in patterns:
+            want = brute.restriction_by_pattern(rs, pattern)
+            assert axioms._restriction_by_pattern(rs.code, pattern) == want, (rs.letters, pattern)

@@ -69,6 +69,16 @@ def test_verify_resource_cap(capsys):
     assert "resource cap" in err
 
 
+def test_verify_force_lifts_the_resource_cap(capsys, monkeypatch):
+    monkeypatch.setenv("ROOTFLAGS_MAX_N", "3")
+    code, _, err = run_cli(capsys, "verify", "LEX_NN", "--n", "4")
+    assert code == 2
+    assert "resource cap 3" in err
+    code, out, err = run_cli(capsys, "verify", "LEX_NN", "--n", "4", "--force")
+    assert code == 0 and err == ""
+    assert out.count(": pass") == 3
+
+
 def test_verify_all_small_n_makes_no_claim(capsys):
     code, out, _ = run_cli(capsys, "verify", "--all", "--n", "2", "--format", "json")
     assert code == 0
@@ -177,6 +187,14 @@ def test_series_check_subset(capsys):
         "catalan-quadratic",
         "backward-only-coefficients",
     ]
+
+
+def test_series_check_spellings_agree(capsys):
+    argv = ("--names", "catalan-quadratic", "--zorder", "3", "--format", "json")
+    first = run_cli(capsys, "series", "check", *argv)
+    second = run_cli(capsys, "series-check", *argv)
+    assert first[0] == 0
+    assert first == second
 
 
 def test_series_check_unknown_name(capsys):

@@ -143,6 +143,23 @@ def test_excess_formula_matches_bruteforce_sample():
                 assert excess_degree(rs, n, arrow) == excess_degree_formula(rs, n, arrow)
 
 
+def test_excess_signature_is_the_brute_force_for_all_codes(monkeypatch):
+    # the signature comes from the closed form; the brute force is its oracle,
+    # for the invalid codes too.  pair_relation is a pure function of the two
+    # arrows, so sharing its answers across the 64 codes changes no count.
+    from functools import lru_cache
+
+    from rootflags import complexes
+    from rootflags.rules import arrows_of
+
+    monkeypatch.setattr(complexes, "pair_relation", lru_cache(maxsize=None)(complexes.pair_relation))
+    for code in range(64):
+        rs = RuleSet.from_code(code)
+        for n in range(7):
+            want = sorted(excess_degree(rs, n, arrow) for arrow in arrows_of(n))
+            assert list(excess_signature(rs, n).degrees) == want, (code, n)
+
+
 def test_excess_signature_invariant_under_involutions():
     for rs in valid_rulesets()[:8]:
         sig = excess_signature(rs, 3).degrees

@@ -27,3 +27,31 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_cli_output_matches_snapshot(capsys, snapshot, argv):
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / snapshot).read_text()
+
+
+@pytest.mark.parametrize(
+    "snapshot, argv, status",
+    [
+        ("classify_table4.json", ["classify", "--table4", "--format", "json"], 0),
+        ("excess_all_orbits_n4.json", ["excess", "--all-orbits", "--n", "4", "--format", "json"], 0),
+        (
+            "match_revlex_nn.json",
+            ["match", "--rules", "REVLEX_NN", "--tails", "1,4", "--heads", "2,3", "--format", "json"],
+            0,
+        ),
+        # an invalid code with two matchings, and one with none
+        (
+            "match_code12.json",
+            ["match", "--rules", "12", "--tails", "1,3,5", "--heads", "2,4,6", "--format", "json"],
+            1,
+        ),
+        (
+            "match_code4.json",
+            ["match", "--rules", "4", "--tails", "2,3,5", "--heads", "1,4,6", "--format", "json"],
+            1,
+        ),
+    ],
+)
+def test_cli_output_and_status_match_snapshot(capsys, snapshot, argv, status):
+    assert main(argv) == status
+    assert capsys.readouterr().out == (GOLDEN / snapshot).read_text()

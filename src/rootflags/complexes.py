@@ -1,11 +1,15 @@
-"""Materialized flag complexes: clique enumeration, face tables, excess degrees.
+"""Materialized flag complexes: clique enumeration, face counting, excess degrees.
 
 Arrows of V_n are indexed 0..n(n+1)-1 in (tail, head) lexicographic order
 and faces are bitsets over that index, so the compatibility graph is a
 precomputed adjacency bitmatrix and clique extension is a single AND.
 Enumeration is depth-first over increasing arrow index; the resulting
 stream order (lexicographic on sorted arrow lists, empty face first) is
-part of the contract.
+part of the contract of ``enumerate_faces``.
+
+Face tables are counted, not walked: a clique count memoised on the
+candidate mask yields the (forward, backward) polynomial of every complex
+V_m, m <= n, at once, and the saturated tables follow by binomial inversion.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .rules import CROSS, NEST, TYPE_WORDS, Arrow, RuleSet, arrows_of, pair_relation
 
@@ -103,8 +107,8 @@ def _iter_cliques(
     masks: tuple[int, ...],
     n: int,
     max_arrows: int | None = None,
-) -> Iterator[tuple[tuple[int, ...], int, int, bool]]:
-    """Yield (arrow indices, forward count, node cover mask, is_forest).
+) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """Yield (arrow indices, is_forest).
 
     DFS over increasing arrow index with candidate-set pruning; the forest
     flag is maintained by an incremental union-find with rollback, counting
@@ -120,11 +124,9 @@ def _iter_cliques(
         return x
 
     prefix: list[int] = []
-    # frames: (candidate mask, forward count, cover mask, cycle count)
-    def rec(cand: int, fwd: int, cover: int, cycles: int) -> Iterator[
-        tuple[tuple[int, ...], int, int, bool]
-    ]:
-        yield tuple(prefix), fwd, cover, cycles == 0
+
+    def rec(cand: int, cycles: int) -> Iterator[tuple[tuple[int, ...], bool]]:
+        yield tuple(prefix), cycles == 0
         if max_arrows is not None and len(prefix) >= max_arrows:
             return
         while cand:
@@ -144,12 +146,7 @@ def _iter_cliques(
                 size[ra] += size[rb]
                 merged = (ra, rb)
             prefix.append(v)
-            yield from rec(
-                cand & masks[v],
-                fwd + (tail < head),
-                cover | (1 << tail) | (1 << head),
-                cycles + extra_cycle,
-            )
+            yield from rec(cand & masks[v], cycles + extra_cycle)
             prefix.pop()
             if merged is not None:
                 ra, rb = merged
@@ -157,7 +154,7 @@ def _iter_cliques(
                 size[ra] -= size[rb]
 
     full = (1 << m) - 1
-    yield from rec(full, 0, 0, 0)
+    yield from rec(full, 0)
 
 
 @dataclass(frozen=True)
@@ -183,8 +180,8 @@ class Face:
 
     @property
     def saturated(self) -> bool:
-        # at n = 0 the empty face is saturated by convention
-        return self.n == 0 or self.nodes == tuple(range(1, self.n + 2))
+        # at n = 0 the empty face is saturated by convention; nodes lie in 1..n+1
+        return self.n == 0 or len({x for a in self.arrows for x in a}) == self.n + 1
 
     @property
     def is_matching(self) -> bool:
@@ -201,7 +198,7 @@ def enumerate_faces(
     in lexicographic order on sorted arrow-index lists."""
     check_resource_cap(n, force)
     arrows, masks = adjacency(rs, n)
-    for indices, _fwd, _cover, forest in _iter_cliques(arrows, masks, n, max_arrows):
+    for indices, forest in _iter_cliques(arrows, masks, n, max_arrows):
         yield Face(tuple(arrows[i] for i in indices), n, forest)
 
 
@@ -247,29 +244,92 @@ class FaceTable:
 SELECTORS = ("all", "saturated", "facets")
 
 
+def _count_cliques(
+    arrows: tuple[Arrow, ...], masks: tuple[int, ...], starts: list[int], dim: int
+) -> tuple[list[int], int]:
+    """Clique polynomials of the subgraphs on the start masks, and the slot
+    width they are packed with.
+
+    count(cand) = 1 + sum over v in cand of x^fwd(v) y^bwd(v) * count(cand &
+    masks[v] & above(v)), memoised on cand.  A polynomial is one int: cell
+    (i, d-i) sits in slot d*(dim+1)+i, so x and y are shifts.  A slot holds
+    the number of sets of at most dim arrows, so no cell of a face with at
+    most dim arrows carries into the next; larger faces land above slot
+    (dim+1)^2 - 1, which the caller must check.
+    """
+    width = sum(comb(len(arrows), k) for k in range(dim + 1)).bit_length()
+    shift = [width * (dim + 2 if tail < head else dim + 1) for tail, head in arrows]
+    single = [1 << s for s in shift]
+    memo: dict[int, int] = {}
+    lookup = memo.get
+
+    def count(cand: int) -> int:
+        total = 1
+        rest = cand
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            sub = rest & masks[v]
+            if sub:
+                got = lookup(sub)
+                total += (count(sub) if got is None else got) << shift[v]
+            else:
+                total += single[v]
+        memo[cand] = total
+        return total
+
+    polys = [count(start) for start in starts]
+    memo.clear()  # count is a reference cycle: free the table now
+    return polys, width
+
+
 @lru_cache(maxsize=1024)
 def _face_tables(code: int, n: int) -> dict[str, dict[tuple[int, int], int]]:
-    rs = RuleSet.from_code(code)
-    arrows, masks = adjacency(rs, n)
-    full_cover = ((1 << (n + 2)) - 1) & ~1  # nodes 1..n+1
-    tables: dict[str, dict[tuple[int, int], int]] = {s: {} for s in SELECTORS}
+    arrows, masks = _adjacency(code, n)
+    # By uniformity the arrows inside nodes 1..m+1 span a copy of the
+    # complex at size m, with the same forward and backward arrows.
+    starts = [
+        sum(1 << v for v, (tail, head) in enumerate(arrows) if max(tail, head) <= m + 1)
+        for m in range(n + 1)
+    ]
+    dim = n
+    while True:
+        polys, width = _count_cliques(arrows, masks, starts, dim)
+        if polys[n].bit_length() <= (dim + 1) ** 2 * width:
+            break
+        dim += 1  # a face has more than dim arrows (a circuit): recount wider
+    # a nonempty face of V_m spans k+1 of its m+1 nodes, saturated there:
+    # all_m = 1 + sum_{1 <= k <= m} C(m+1, k+1) sat_k
+    saturated = polys[:1]
+    for m in range(1, n + 1):
+        saturated.append(
+            polys[m] - 1 - sum(comb(m + 1, k + 1) * saturated[k] for k in range(1, m))
+        )
+    slot = (1 << width) - 1
 
-    def bump(table: dict, key: tuple[int, int]) -> None:
-        table[key] = table.get(key, 0) + 1
+    def cells(poly: int, dims: Iterable[int]) -> dict[tuple[int, int], int]:
+        out = {}
+        for d in dims:
+            for i in range(d + 1):
+                c = poly >> width * (d * (dim + 1) + i) & slot
+                if c:
+                    out[(i, d - i)] = c
+        return out
 
-    for indices, fwd, cover, _forest in _iter_cliques(arrows, masks, n):
-        key = (fwd, len(indices) - fwd)
-        bump(tables["all"], key)
-        if cover == full_cover or n == 0:
-            bump(tables["saturated"], key)
-        if len(indices) == n:
-            bump(tables["facets"], key)
-    return tables
+    return {
+        "all": cells(polys[n], range(dim + 1)),
+        "saturated": cells(saturated[n], range(dim + 1)),
+        "facets": cells(polys[n], (n,)),
+    }
 
 
 def face_table(rs: RuleSet, n: int, selector: str = "all", force: bool = False) -> FaceTable:
     """Count faces by (forward, backward) arrows; selector picks all faces,
-    saturated faces (arrows cover every node), or facets (n-arrow faces)."""
+    saturated faces (arrows cover every node), or facets (n-arrow faces).
+
+    The tables are counted on the adjacency masks, not walked face by face
+    (see ``_count_cliques``); ``enumerate_faces`` streams the faces."""
     if selector not in SELECTORS:
         raise ValueError(f"selector must be one of {SELECTORS}, got {selector!r}")
     check_resource_cap(n, force)

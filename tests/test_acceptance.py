@@ -127,16 +127,17 @@ def test_criterion_2_excess_signatures():
 
 def test_criterion_3_f_vector_universality():
     """All 34 codes share the per-dimension counts C(n+k,k) C(n,k) and the
-    per-class refined tables for n <= 5."""
-    result = check_f_vector(5)
-    report("criterion 3 (f-vector universality, n<=5)", result.passed, result.detail)
+    per-class refined tables for n <= 7."""
+    result = check_f_vector(7)
+    report("criterion 3 (f-vector universality, n<=7)", result.passed, result.detail)
 
 
 def test_criterion_4_simion_class():
-    """Saturated series match brute force for every Simion code (n <= 5);
-    facet counts match the closed forms for n <= 6 and sum to C(2n,n)."""
-    series = check_simion_saturated(5)
-    facets = check_simion_facets(6)
+    """Saturated series match the counted tables for every Simion code
+    (n <= 7); facet counts match the closed forms for n <= 8 and sum to
+    C(2n,n)."""
+    series = check_simion_saturated(7)
+    facets = check_simion_facets(8)
     report(
         "criterion 4 (Simion class)",
         series.passed and facets.passed,
@@ -145,11 +146,11 @@ def test_criterion_4_simion_class():
 
 
 def test_criterion_5_revlex_class():
-    """Quadruple-sum series matches brute force (n <= 5); facet formula
-    matches enumeration (n <= 6); the node-enriched EGF matches brute force
+    """Quadruple-sum series matches the counted tables (n <= 7); facet
+    formula matches them (n <= 8); the node-enriched EGF matches brute force
     to orders (u,v) <= (4,4) and its two constructions agree."""
-    series = check_revlex_saturated(5)
-    facets = check_revlex_facets(6)
+    series = check_revlex_saturated(7)
+    facets = check_revlex_facets(8)
     egf = check_node_enriched_egf(5)
     routes = check_delannoy_egf_routes(5)
     report(
@@ -160,12 +161,12 @@ def test_criterion_5_revlex_class():
 
 
 def test_criterion_6_lex_class():
-    """Refined cells equal C(n+k,k) C(n,k)/(k+1) for n <= 5; the Catalan run
-    identity holds for k <= 10; mixed-forest polynomials match enumeration
-    for k <= 5."""
-    cells = check_lex_refined(5)
+    """Refined cells equal C(n+k,k) C(n,k)/(k+1) for n <= 7; the Catalan run
+    identity holds for k <= 10; mixed-forest polynomials match the counted
+    saturated tables for k <= 5."""
+    cells = check_lex_refined(7)
     runs = check_catalan_run_identity(10)
-    forests = check_forest_polynomials(6)  # enumerates up to k = 5
+    forests = check_forest_polynomials(6)  # k <= 5, tables up to n = 9
     report(
         "criterion 6 (lex class)",
         cells.passed and runs.passed and forests.passed,

@@ -1,6 +1,6 @@
 import pytest
 
-from rootflags.checks import CHECKS, CheckResult, run_checks
+from rootflags.checks import CHECKS, CheckResult, check_delannoy_routes, run_checks
 
 
 def test_registry_names_are_stable():
@@ -34,6 +34,13 @@ def test_run_checks_subset_and_order():
     results = run_checks(names, zorder=3)
     assert [r.name for r in results] == names
     assert all(isinstance(r, CheckResult) and r.passed for r in results)
+
+
+def test_delannoy_routes_agree():
+    # the DP of delannoy_poly against the binomial expansion, the literal
+    # walk and the generating function, which live only in the check
+    result = check_delannoy_routes(6)
+    assert result.passed, result.detail
 
 
 def test_run_checks_rejects_unknown():

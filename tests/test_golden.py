@@ -3,6 +3,9 @@
 A snapshot changes only together with an intended change of the output;
 regenerate it with the command line in its parametrisation, e.g.
 ``rootflags verify --all --n 5 --format json > tests/golden/verify_all_n5.json``.
+A ``faces_n6_refined_<selector>.jsonl`` snapshot holds the outputs of
+``rootflags faces --code A --n 6 --refined --selector <selector> --format json``
+for the 15 aliases A of ``TABLE_ROW_ORDER``, one line each, in that order.
 """
 
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from rootflags.cli import main
+from rootflags.rules import TABLE_ROW_ORDER
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,3 +59,14 @@ def test_cli_output_matches_snapshot(capsys, snapshot, argv):
 def test_cli_output_and_status_match_snapshot(capsys, snapshot, argv, status):
     assert main(argv) == status
     assert capsys.readouterr().out == (GOLDEN / snapshot).read_text()
+
+
+@pytest.mark.parametrize("selector", ["all", "saturated", "facets"])
+def test_refined_face_tables_match_snapshot(capsys, selector):
+    out = []
+    for alias in TABLE_ROW_ORDER:
+        argv = ["faces", "--code", alias, "--n", "6", "--refined", "--selector", selector,
+                "--format", "json"]
+        assert main(argv) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == (GOLDEN / f"faces_n6_refined_{selector}.jsonl").read_text()

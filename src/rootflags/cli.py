@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
@@ -66,6 +67,19 @@ def _parse_ruleset(text: str) -> RuleSet:
         return RuleSet.parse(text)
     except (ValueError, KeyError) as exc:
         raise UsageError(f"cannot parse rule code {text!r}: {exc}") from None
+
+
+def _check_jobs(jobs: int) -> None:
+    limit = os.cpu_count() or 1
+    if not 1 <= jobs <= limit:
+        raise UsageError(f"--jobs must be between 1 and {limit}, got {jobs}")
+
+
+def _check_orders(args: argparse.Namespace, *flags: str) -> None:
+    for flag in flags:
+        value = getattr(args, flag)
+        if value < 0:
+            raise UsageError(f"--{flag} must be >= 0, got {value}")
 
 
 def _code_info(rs: RuleSet) -> dict:
@@ -168,6 +182,7 @@ def _verify_worker(payload: tuple[int, int, bool]) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_jobs(args.jobs)
     check_resource_cap(args.n, args.force)
     if args.all:
         codes = list(range(64))
@@ -374,6 +389,7 @@ def cmd_series_dump(args: argparse.Namespace) -> int:
     builder = _DUMPABLE.get(args.which)
     if builder is None:
         raise UsageError(f"unknown series {args.which!r}; known: {sorted(_DUMPABLE)}")
+    _check_orders(args, "zorder", "xyorder", "uvorder")
     series: Series = builder(args)
     writer = csv.writer(sys.stdout)
     writer.writerow(list(series.ring.variables) + ["numerator", "denominator"])
@@ -388,6 +404,8 @@ def _check_worker(payload: tuple[str, int]) -> dict:
 
 
 def cmd_series_check(args: argparse.Namespace) -> int:
+    _check_jobs(args.jobs)
+    _check_orders(args, "zorder")
     if args.names:
         names = args.names
     else:

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -95,6 +95,53 @@ class SeriesRing:
 
     def total_budget(self) -> int:
         return sum(self.orders)
+
+
+class _Packing:
+    """Exponent vectors of one ring's orders packed into single ints.
+
+    Variable i gets a slot of ``orders[i].bit_length() + 1`` bits, wide
+    enough for the sum of two exponents up to its order, and one guard bit
+    above the slot.  Packing relies on the ``Series`` invariant that every
+    stored exponent lies within the ring's orders (the ring's constructors
+    and every operation drop the terms outside them): then two packed keys
+    add slot by slot without a carry, and ``top - key`` borrows a slot's
+    guard bit exactly when that slot exceeds its order, so
+    ``(top - key) & guards == guards`` is the truncation test for all
+    variables at once.
+    """
+
+    __slots__ = ("slots", "top", "guards")
+
+    def __init__(self, orders: tuple[int, ...]):
+        slots = []
+        top = guards = shift = 0
+        for o in orders:
+            width = o.bit_length() + 1
+            slots.append((shift, (1 << width) - 1))
+            top |= o << shift
+            guards |= 1 << (shift + width)
+            shift += width + 1
+        self.slots = tuple(slots)
+        self.top = top | guards
+        self.guards = guards
+
+    def numerators(self, coeffs: Mapping[Exponents, Fraction]) -> tuple[int, list[tuple[int, int]]]:
+        """The common denominator and the (packed key, numerator) terms."""
+        d = lcm(*(c.denominator for c in coeffs.values()))
+        slots = self.slots
+        return d, [
+            (sum(e << s for e, (s, _) in zip(exps, slots)), c.numerator * (d // c.denominator))
+            for exps, c in coeffs.items()
+        ]
+
+    def unpack(self, key: int) -> Exponents:
+        return tuple((key >> s) & mask for s, mask in self.slots)
+
+
+@lru_cache(maxsize=256)
+def _packing(orders: tuple[int, ...]) -> _Packing:
+    return _Packing(orders)
 
 
 class Series:
@@ -185,19 +232,22 @@ class Series:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        orders = self.ring.orders
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                if any(k > o for k, o in zip(key, orders)):
-                    continue
-                total = out.get(key, Fraction(0)) + c1 * c2
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
-        return Series(self.ring, out)
+        packing = _packing(self.ring.orders)
+        d1, left = packing.numerators(self.coeffs)
+        d2, right = packing.numerators(other.coeffs)
+        top, guards = packing.top, packing.guards
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k1, n1 in left:
+            for k2, n2 in right:
+                key = k1 + k2
+                if (top - key) & guards == guards:
+                    acc[key] = get(key, 0) + n1 * n2
+        d = d1 * d2
+        unpack = packing.unpack
+        return Series(
+            self.ring, {unpack(key): Fraction(v, d) for key, v in acc.items() if v}
+        )
 
     __rmul__ = __mul__
 

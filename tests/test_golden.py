@@ -6,13 +6,18 @@ regenerate it with the command line in its parametrisation, e.g.
 A ``faces_n6_refined_<selector>.jsonl`` snapshot holds the outputs of
 ``rootflags faces --code A --n 6 --refined --selector <selector> --format json``
 for the 15 aliases A of ``TABLE_ROW_ORDER``, one line each, in that order.
+A ``series_dump_<family>_small.csv`` snapshot is the output of
+``rootflags series dump --which <family> --zorder 6 --xyorder 6 --uvorder 4 --index 3``,
+and a ``series_dump_<family>_bench.csv`` one that of
+``rootflags series dump --which <family> --zorder 12 --xyorder 12 --uvorder 8 --index 4``
+(the benchmark's orders).
 """
 
 from pathlib import Path
 
 import pytest
 
-from rootflags.cli import main
+from rootflags.cli import _DUMPABLE, main
 from rootflags.rules import TABLE_ROW_ORDER
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -26,6 +31,7 @@ GOLDEN = Path(__file__).parent / "golden"
             "verify_all_n4_all_witnesses.json",
             ["verify", "--all", "--n", "4", "--all-witnesses", "--format", "json"],
         ),
+        ("series_check_z5.json", ["series", "check", "--zorder", "5", "--format", "json"]),
     ],
 )
 def test_cli_output_matches_snapshot(capsys, snapshot, argv):
@@ -70,3 +76,19 @@ def test_refined_face_tables_match_snapshot(capsys, selector):
         assert main(argv) == 0
         out.append(capsys.readouterr().out)
     assert "".join(out) == (GOLDEN / f"faces_n6_refined_{selector}.jsonl").read_text()
+
+
+SMALL_ORDERS = ["--zorder", "6", "--xyorder", "6", "--uvorder", "4", "--index", "3"]
+BENCH_ORDERS = ["--zorder", "12", "--xyorder", "12", "--uvorder", "8", "--index", "4"]
+
+
+@pytest.mark.parametrize(
+    "family, size, orders",
+    [(family, "small", SMALL_ORDERS) for family in sorted(_DUMPABLE)]
+    + [(family, "bench", BENCH_ORDERS) for family in ("refined-backward", "simion-thth-nest")],
+)
+def test_series_dump_matches_snapshot(capsys, family, size, orders):
+    assert main(["series", "dump", "--which", family, *orders]) == 0
+    # the csv module ends rows with \r\n; newline="" keeps them as written
+    with open(GOLDEN / f"series_dump_{family}_{size}.csv", newline="") as snapshot:
+        assert capsys.readouterr().out == snapshot.read()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .complexes import _pair_classes, adjacency, check_ambient_size, check_resource_cap
+from .complexes import adjacency, check_ambient_size
 from .matchings import th_word
 from .rules import Arrow, RuleSet, arrows_of, parse_nodes
 
@@ -100,26 +100,6 @@ def _touch_masks(n: int) -> tuple[int, ...]:
     return tuple(
         leaving[t] | entering[t] | leaving[h] | entering[h] for t, h in arrows_of(n)
     )
-
-
-@lru_cache(maxsize=16)
-def _pair_checks(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """The arrow pairs i < j of V_n that permissibility (a) and (b) inspect,
-    in pair order: (i, j, -1, -1) for a shared tail or head, and
-    (i, j, i2, j2) for four distinct nodes, (i2, j2) being the other
-    diagonal of their square."""
-    arrows, shared, rows = _pair_classes(n)
-    disjoint = [0] * len(arrows)
-    for row in rows.values():
-        disjoint = [x | y for x, y in zip(disjoint, row)]
-    index = _index_table(n)
-    out = []
-    for (i, a), (j, b) in itertools.combinations(enumerate(arrows), 2):
-        if shared[i] >> j & 1:
-            out.append((i, j, -1, -1))
-        elif disjoint[i] >> j & 1:
-            out.append((i, j, index[a.tail][b.head], index[b.tail][a.head]))
-    return tuple(out)
 
 
 def all_support_matchings(
@@ -267,7 +247,7 @@ def _matching_cliques(
 
 def matching_faces(rs: RuleSet, n: int) -> Iterator[Matching]:
     """All faces that are matchings (pairwise node-disjoint arrows)."""
-    check_resource_cap(n)
+    check_ambient_size(n)
     arrows, masks = adjacency(rs, n)
     for face in _matching_cliques(n, masks):
         yield frozenset(arrows[v] for v in face)
@@ -442,8 +422,10 @@ def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axiom
 
     (a) every shared-tail and shared-head pair is an edge, (b) exactly one
     diagonal of each square face is an edge, (c) every clique is an
-    admissible forest.  (a) and (b) are read off the adjacency masks pair by
-    pair; they hold for all 64 codes by construction of the edge predicate.
+    admissible forest.  (a) and (b) hold for all 64 codes by construction of
+    the edge predicate, so they are not re-checked here: every code's masks
+    contain the shared-endpoint pairs, and the two diagonals of a square are
+    the two placements of one type word, of which each code picks one.
     For (c), every clique is admissible, since a pair in which a node is the
     head of one arrow and the tail of the other is never an edge; whether
     some clique contains a circuit is decided by a search for alternating
@@ -455,21 +437,6 @@ def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axiom
     check_ambient_size(n)
     arrows, masks = adjacency(rs, n)
     witnesses = []
-    for i, j, i2, j2 in _pair_checks(n):
-        edge = masks[i] >> j & 1
-        if i2 < 0:
-            if edge:
-                continue
-            reason = "shared pair not an edge"
-        else:
-            if edge != masks[i2] >> j2 & 1:
-                continue
-            reason = "square has zero or two diagonals"
-        witnesses.append(
-            Violation("permissible", {"pair": _arrow_json([arrows[i], arrows[j]]), "reason": reason})
-        )
-        if not all_witnesses:
-            return AxiomReport("permissible", False, tuple(witnesses))
     if _has_circuit(n, arrows, masks, (1 << len(arrows)) - 1):
         for face in _circuit_faces(n, arrows, masks):
             witnesses.append(
@@ -627,6 +594,11 @@ def phi(trees: Iterable[EdgeSet], a: int, b: int) -> BipartiteEnsemble:
 
 def spanning_trees(a: int, b: int) -> list[EdgeSet]:
     """All spanning trees of K_{a,b}."""
+    return list(_spanning_trees(a, b))
+
+
+@lru_cache(maxsize=64)
+def _spanning_trees(a: int, b: int) -> tuple[EdgeSet, ...]:
     edges = [(l, r) for l in range(1, a + 1) for r in range(1, b + 1)]
     out = []
     want = a + b - 1
@@ -647,9 +619,10 @@ def spanning_trees(a: int, b: int) -> list[EdgeSet]:
             parent[ra] = rb
         if acyclic:
             out.append(frozenset(combo))
-    return out
+    return tuple(out)
 
 
+@lru_cache(maxsize=8192)
 def _has_alternating_cycle(first: EdgeSet, second: EdgeSet) -> bool:
     """A simple cycle of length >= 4 whose edges alternate between the two
     edge sets.  Vertices are ("L", i) / ("R", j)."""
@@ -702,7 +675,7 @@ def phi_inverse(ensemble: BipartiteEnsemble) -> frozenset[EdgeSet]:
         raise ValueError(f"not a matching ensemble: {report.to_json_dict()}")
     nonempty = [m for m in ensemble.matchings if m]
     out = []
-    for tree in spanning_trees(ensemble.a, ensemble.b):
+    for tree in _spanning_trees(ensemble.a, ensemble.b):
         if all(postnikov_compatible(tree, m) for m in nonempty):
             out.append(tree)
     return frozenset(out)

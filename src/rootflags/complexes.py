@@ -355,6 +355,13 @@ def excess_degree(rs: RuleSet, n: int, arrow: Arrow) -> int:
     return count
 
 
+def _excess_degrees(code: int, n: int) -> list[int]:
+    """Excess degree of every arrow of V_n, in arrow order: its neighbours
+    that share no endpoint, read off the adjacency masks."""
+    shared = _pair_classes(n)[1]
+    return [(mask & ~s).bit_count() for mask, s in zip(_adjacency(code, n)[1], shared)]
+
+
 def excess_degree_formula(rs: RuleSet, n: int, arrow: Arrow) -> int:
     """Closed form for the excess degree in terms of p = i-1, q = j-i-1,
     r = n+1-j for the underlying node pair i < j."""

@@ -110,6 +110,17 @@ def test_matching_faces_are_matchings():
         assert len(nodes) == len(set(nodes))
 
 
+def test_matching_faces_ignore_the_resource_cap(monkeypatch):
+    # like the axiom checks, matching_faces validates n but leaves the cap
+    # to its callers
+    monkeypatch.setenv("ROOTFLAGS_MAX_N", "2")
+    faces = list(matching_faces(LEX, 3))
+    assert frozenset({Arrow(1, 2), Arrow(3, 4)}) in faces
+    assert len(faces) == 12 + 6  # the 12 arrows, then one matching per T/H word
+    with pytest.raises(ValueError, match="ambient size must be >= 0"):
+        next(matching_faces(LEX, -1))
+
+
 def test_all_support_matchings_counts():
     # hexagon: single-arrow matchings are unique trivially
     assert len(all_support_matchings(LEX, [1], [2])) == 1
@@ -183,6 +194,13 @@ def test_spanning_tree_counts():
     assert len(spanning_trees(2, 2)) == 4
     assert len(spanning_trees(3, 3)) == 81
     assert len(spanning_trees(1, 1)) == 1
+
+
+def test_spanning_trees_returns_a_fresh_list():
+    trees = spanning_trees(3, 3)
+    trees.clear()
+    again = spanning_trees(3, 3)
+    assert len(again) == 81 and again is not trees
 
 
 def test_restriction_ensemble_matches_support_matchings():

@@ -27,6 +27,29 @@ def _has_circuit(rs, n):
     return axioms._has_circuit(n, arrows, masks, (1 << len(arrows)) - 1)
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_permissibility_pair_conditions_hold_by_construction(n):
+    # check_permissible does not re-check (a) and (b): for every code, every
+    # pair sharing an endpoint is an edge and exactly one diagonal of every
+    # square on four distinct nodes is
+    arrows = rules.arrows_of(n)
+    index = {arrow: v for v, arrow in enumerate(arrows)}
+    pairs = []
+    for (i, a), (j, b) in itertools.combinations(enumerate(arrows), 2):
+        kind = rules.pair_relation(a, b).kind
+        if kind == "shared":
+            pairs.append((i, j, i, j))
+        elif kind == "disjoint":
+            pairs.append((i, j, index[(a.tail, b.head)], index[(b.tail, a.head)]))
+    for rs in CODES:
+        masks = adjacency(rs, n)[1]
+        for i, j, i2, j2 in pairs:
+            if (i, j) == (i2, j2):
+                assert masks[i] >> j & 1, (rs.letters, arrows[i], arrows[j])
+            else:
+                assert masks[i] >> j & 1 != masks[i2] >> j2 & 1, (rs.letters, arrows[i], arrows[j])
+
+
 def _first_witness(report):
     # the brute-force checks stop at the first witness they would list
     return AxiomReport(report.axiom, report.passed, report.witnesses[:1])

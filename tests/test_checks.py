@@ -1,5 +1,6 @@
 import pytest
 
+from rootflags import checks
 from rootflags.checks import CHECKS, CheckResult, check_delannoy_routes, run_checks
 
 
@@ -63,3 +64,32 @@ def test_abandoned_enumeration_does_not_corrupt_later_runs():
         1 for _ in enumerate_faces(rs, 4)
     )
     assert all(f.is_forest for f in enumerate_faces(rs, 4))
+
+
+def test_node_enriched_egf_fails_when_it_compares_nothing(monkeypatch):
+    # with every key outside the ring, the check has nothing to compare
+    egf = checks.srs.node_enriched_egf(4, 4)
+    monkeypatch.setattr(checks.srs, "node_enriched_egf", lambda u, v: egf)
+    monkeypatch.setattr(checks.srs.SeriesRing, "within", lambda self, exps: False)
+    result = checks.check_node_enriched_egf(5)
+    assert not result.passed
+    assert result.detail == "1 mismatches; first: compared-nothing"
+
+
+def test_forward_saturated_delannoy_fails_when_it_compares_nothing(monkeypatch):
+    # no alias has THTH nest under a value no rule takes, so all are skipped
+    monkeypatch.setattr(checks, "NEST", "no such rule")
+    result = checks.check_forward_saturated_delannoy(5)
+    assert not result.passed
+    assert result.detail == "1 mismatches; first: compared-nothing"
+
+
+def test_forward_saturated_delannoy_compares_at_zorder_0():
+    result = checks.check_forward_saturated_delannoy(0)
+    assert result.passed and result.detail.endswith("n <= 1")
+
+
+@pytest.mark.parametrize("zorder, n_max", [(0, 5), (5, 5), (6, 6), (7, 7), (12, 8)])
+def test_excess_formula_horizon_follows_zorder(zorder, n_max):
+    result = checks.check_excess_formula(zorder)
+    assert result.passed and result.detail.endswith(f"n <= {n_max}")

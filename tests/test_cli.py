@@ -193,6 +193,17 @@ def test_series_check_subset(capsys):
     ]
 
 
+def test_series_check_excess_horizon_follows_zorder(capsys):
+    code, out, _ = run_cli(
+        capsys, "series", "check", "--names", "excess-degree-formula", "--zorder", "8"
+    )
+    assert code == 0
+    assert out == (
+        "PASS excess-degree-formula: brute-force excess degrees equal the closed form "
+        "for all valid codes, n <= 8\nverdict: pass (1 checks)\n"
+    )
+
+
 def test_series_check_spellings_agree(capsys):
     argv = ("--names", "catalan-quadratic", "--zorder", "3", "--format", "json")
     first = run_cli(capsys, "series", "check", *argv)

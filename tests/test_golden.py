@@ -60,6 +60,7 @@ def test_cli_output_matches_snapshot(capsys, snapshot, argv):
             ["match", "--rules", "4", "--tails", "2,3,5", "--heads", "1,4,6", "--format", "json"],
             1,
         ),
+        ("classify_all.json", ["classify", "--all", "--format", "json"], 0),
     ],
 )
 def test_cli_output_and_status_match_snapshot(capsys, snapshot, argv, status):

@@ -3,6 +3,10 @@
 Arrows of V_n are indexed 0..n(n+1)-1 in (tail, head) lexicographic order
 and faces are bitsets over that index, so the compatibility graph is a
 precomputed adjacency bitmatrix and clique extension is a single AND.
+The bitmatrix is built from a range model: by uniformity the relation of
+two node-disjoint arrows depends only on which of the three open ranges
+around one arrow's span hold the other's tail and head, so 24 model cases
+are classified once and every row is an AND of node-range masks.
 Enumeration is depth-first over increasing arrow index; the resulting
 stream order (lexicographic on sorted arrow lists, empty face first) is
 part of the contract of ``enumerate_faces``.
@@ -17,7 +21,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
+from operator import or_
 from typing import Iterable, Iterator, Mapping
 
 from .rules import CROSS, NEST, TYPE_WORDS, Arrow, RuleSet, arrows_of, pair_relation
@@ -56,6 +62,22 @@ def check_resource_cap(n: int, force: bool = False) -> None:
 
 
 @lru_cache(maxsize=16)
+def _node_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per node, the masks of the arrows of V_n leaving it and entering it."""
+    leaving = [0] * (n + 2)
+    entering = [0] * (n + 2)
+    for v, (t, h) in enumerate(arrows_of(n)):
+        leaving[t] |= 1 << v
+        entering[h] |= 1 << v
+    return tuple(leaving), tuple(entering)
+
+
+#: The model line of ``_pair_classes``: an arrow on nodes 3 and 6, and two
+#: nodes in each open range around it, below, between and above.
+_MODEL_RANGES = ((1, 2), (4, 5), (7, 8))
+
+
+@lru_cache(maxsize=16)
 def _pair_classes(
     n: int,
 ) -> tuple[tuple[Arrow, ...], tuple[int, ...], dict[tuple[str, str], tuple[int, ...]]]:
@@ -63,27 +85,50 @@ def _pair_classes(
     and per (type word, placement) the per-arrow masks of the node-disjoint
     partners with that word and placement.
 
-    This sweep does not depend on the rule code: by uniformity an arrow pair
-    is an edge exactly when it shares an endpoint role or its placement is
-    the one the code picks for its word, so every code's adjacency is an OR
-    of these rows.  Inadmissible pairs land in no row.
+    None of this depends on the rule code: by uniformity an arrow pair is an
+    edge exactly when it shares an endpoint role or its placement is the one
+    the code picks for its word, so every code's adjacency is an OR of these
+    rows.  Inadmissible pairs land in no row.
+
+    The rows come from a range model.  A partner sharing no node with an
+    arrow of span lo < hi has its tail in one of the open ranges below lo,
+    between lo and hi, or above hi, and its head in one too; when both lie
+    in one range, the partner's direction orders them.  So the word and
+    placement are a function of the arrow's direction and these 12 cases,
+    classified once with ``pair_relation`` on a model line, and the row of a
+    case is the partners with tail in one range and head in the other, an
+    AND of prefix ORs of the node masks.
     """
     arrows = tuple(arrows_of(n))
     m = len(arrows)
-    shared = [0] * m
+    full = (1 << m) - 1
+    forward = sum(1 << v for v, (t, h) in enumerate(arrows) if t < h)
+    leaving, entering = _node_masks(n)
+    # [k]: the arrows whose tail (head) is one of the nodes 1..k
+    tails_upto = list(accumulate(leaving, or_))
+    heads_upto = list(accumulate(entering, or_))
     rows: dict[tuple[str, str], list[int]] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            rel = pair_relation(arrows[i], arrows[j])
-            if rel.kind == "shared":
-                row = shared
-            elif rel.kind == "disjoint":
-                row = rows.setdefault((rel.word, rel.placement), [0] * m)
-            else:
-                continue
-            row[i] |= 1 << j
-            row[j] |= 1 << i
-    return arrows, tuple(shared), {key: tuple(row) for key, row in rows.items()}
+    cases = ([], [])  # per direction, backward then forward: (x, y, keep, row)
+    for is_forward, arrow in enumerate((Arrow(6, 3), Arrow(3, 6))):
+        for x, (a, b) in enumerate(_MODEL_RANGES):
+            for y, (c, _) in enumerate(_MODEL_RANGES):
+                if x == y:
+                    partners = (((a, b), forward), ((b, a), full ^ forward))
+                else:
+                    partners = (((a, c), full),)
+                for partner, keep in partners:
+                    rel = pair_relation(arrow, Arrow(*partner))
+                    row = rows.setdefault((rel.word, rel.placement), [0] * m)
+                    cases[is_forward].append((x, y, keep, row))
+    shared = []
+    for i, (t, h) in enumerate(arrows):
+        lo, hi = min(t, h), max(t, h)
+        tails_in = (tails_upto[lo - 1], tails_upto[hi - 1] ^ tails_upto[lo], full ^ tails_upto[hi])
+        heads_in = (heads_upto[lo - 1], heads_upto[hi - 1] ^ heads_upto[lo], full ^ heads_upto[hi])
+        for x, y, keep, row in cases[t < h]:
+            row[i] |= tails_in[x] & heads_in[y] & keep
+        shared.append((leaving[t] | entering[h]) ^ 1 << i)
+    return arrows, tuple(shared), {key: tuple(row) for key, row in rows.items() if any(row)}
 
 
 @lru_cache(maxsize=1024)

@@ -200,13 +200,10 @@ class RuleSet:
 
     @classmethod
     def from_code(cls, code: int) -> "RuleSet":
+        """The rule set of a 6-bit code, one shared instance per code."""
         if not 0 <= code <= 63:
             raise ValueError(f"rule code must be in 0..63, got {code}")
-        values = {}
-        for position, word in enumerate(TYPE_WORDS):
-            bit = (code >> (5 - position)) & 1
-            values[word.lower()] = CHOICES[word][0] if bit else CHOICES[word][1]
-        return cls(**values)
+        return _rulesets_by_code()[code]
 
     @classmethod
     def from_letters(cls, text: str) -> "RuleSet":
@@ -275,6 +272,19 @@ class RuleSet:
             tthh=self.tthh,
             hhtt=self.hhtt,
         )
+
+
+@lru_cache(maxsize=1)
+def _rulesets_by_code() -> tuple[RuleSet, ...]:
+    """The 64 rule sets, indexed by code."""
+    out = []
+    for code in range(64):
+        values = {}
+        for position, word in enumerate(TYPE_WORDS):
+            bit = (code >> (5 - position)) & 1
+            values[word.lower()] = CHOICES[word][0] if bit else CHOICES[word][1]
+        out.append(RuleSet(**values))
+    return tuple(out)
 
 
 def is_edge(rs: RuleSet, a: Arrow, b: Arrow, n: int | None = None) -> bool:
@@ -403,10 +413,16 @@ TABLE_ROW_ORDER: tuple[str, ...] = (
 
 def alias_of(rs: RuleSet) -> str | None:
     """The alias whose orbit contains the rule set, if any."""
-    for name in TABLE_ROW_ORDER:
-        if rs in orbit_of(ALIASES[name]):
-            return name
-    return None
+    return _alias_by_code().get(rs.code)
+
+
+@lru_cache(maxsize=1)
+def _alias_by_code() -> dict[int, str]:
+    return {
+        member.code: name
+        for name in TABLE_ROW_ORDER
+        for member in orbit_of(ALIASES[name])
+    }
 
 
 def arrows_of(n: int) -> list[Arrow]:

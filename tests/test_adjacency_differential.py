@@ -1,0 +1,72 @@
+"""The range-model adjacency build against the pairwise sweep it replaced.
+
+``complexes._pair_classes`` classifies 24 range cases on a model line and
+builds every row from node masks; the oracle here classifies every arrow
+pair of V_n with ``pair_relation``.  ``_adjacency`` is also compared, for
+all 64 codes, with the masks of the pairwise edge predicate.
+"""
+
+from functools import lru_cache
+
+import pytest
+
+import brute_axioms as brute
+from rootflags import complexes, rules
+from rootflags.rules import Arrow, RuleSet, arrows_of, pair_relation
+
+
+def pair_classes_sweep(
+    n: int,
+) -> tuple[tuple[Arrow, ...], tuple[int, ...], dict[tuple[str, str], tuple[int, ...]]]:
+    """``_pair_classes`` by ``pair_relation`` on every arrow pair."""
+    arrows = tuple(arrows_of(n))
+    m = len(arrows)
+    shared = [0] * m
+    rows: dict[tuple[str, str], list[int]] = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            rel = pair_relation(arrows[i], arrows[j])
+            if rel.kind == "shared":
+                row = shared
+            elif rel.kind == "disjoint":
+                row = rows.setdefault((rel.word, rel.placement), [0] * m)
+            else:
+                continue
+            row[i] |= 1 << j
+            row[j] |= 1 << i
+    return arrows, tuple(shared), {key: tuple(row) for key, row in rows.items()}
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_pair_classes_match_the_sweep(n):
+    got = complexes._pair_classes.__wrapped__(n)
+    want = pair_classes_sweep(n)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert got[2] == want[2], sorted(set(got[2]) ^ set(want[2]))
+
+
+def test_pair_classes_classify_only_the_range_cases(monkeypatch):
+    # two arrow directions times 12 range cases; the all-pairs sweep would
+    # make m(m-1)/2 = 12,246 calls at n = 12
+    calls = []
+
+    def counted(a, b, n=None):
+        calls.append((a, b))
+        return pair_relation(a, b, n)
+
+    monkeypatch.setattr(complexes, "pair_relation", counted)
+    complexes._pair_classes.__wrapped__(12)
+    assert 0 < len(calls) <= 24
+
+
+def test_adjacency_matches_the_edge_predicate(monkeypatch):
+    # pair_relation is a pure function of the two arrows, so sharing its
+    # answers across the 64 codes leaves every is_edge answer as it is
+    monkeypatch.setattr(rules, "pair_relation", lru_cache(maxsize=None)(rules.pair_relation))
+    for code in range(64):
+        rs = RuleSet.from_code(code)
+        for n in range(7):
+            arrows, masks = complexes._adjacency(code, n)
+            assert arrows == tuple(arrows_of(n))
+            assert masks == brute.edge_masks(rs, n), (rs.letters, n)

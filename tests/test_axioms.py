@@ -217,3 +217,12 @@ def test_restriction_uniformity():
     first = restriction_ensemble(REVLEX, (1, 4), (2, 3))
     second = restriction_ensemble(REVLEX, (2, 9), (5, 7))
     assert first.matchings == second.matchings
+
+
+def test_equal_restriction_families_share_one_object():
+    # LEX_NN and REVLEX_NN both nest on TTHH but differ on THHT: equal
+    # families from different (code, pattern) keys are one object
+    first = restriction_ensemble(LEX, (1, 2), (3, 4)).matchings
+    assert restriction_ensemble(REVLEX, (2, 5), (7, 9)).matchings is first
+    other = restriction_ensemble(REVLEX, (1, 4), (2, 3)).matchings
+    assert other != restriction_ensemble(LEX, (1, 4), (2, 3)).matchings

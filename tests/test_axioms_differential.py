@@ -8,6 +8,7 @@ restriction ensembles are compared the same way.
 """
 
 import itertools
+import random
 from functools import lru_cache
 
 import pytest
@@ -16,7 +17,7 @@ import brute_axioms as brute
 from rootflags import axioms, rules
 from rootflags.axioms import AxiomReport, MultiplicityError
 from rootflags.complexes import adjacency
-from rootflags.rules import RuleSet
+from rootflags.rules import ALIASES, RuleSet
 
 CODES = [RuleSet.from_code(code) for code in range(64)]
 CHECKS = ("check_permissible", "check_support_axiom", "check_linkage_axiom")
@@ -140,6 +141,22 @@ def test_support_matchings_match_oracle(shared_pair_relation):
             counts.add(len(want))
     # the unique case and both kinds of failure were compared
     assert 0 in counts and 1 in counts and any(count >= 2 for count in counts), counts
+
+
+def test_support_matchings_match_oracle_at_eight_tails(shared_pair_relation):
+    # |I| = |J| = 8 solves each word at n = 15, where the adjacency build is
+    # the cost of a cold request
+    rng = random.Random(8)
+    codes = [ALIASES["LEX_NN"], ALIASES["SIMION_C"], ALIASES["REVLEX_NN"]]
+    codes += [RuleSet.from_code(0), RuleSet.from_code(63)]
+    for rs in codes:
+        for _ in range(5):
+            nodes = rng.sample(range(1, 21), 16)
+            tails, heads = sorted(nodes[:8]), sorted(nodes[8:])
+            want = brute.all_support_matchings(rs, tails, heads)
+            assert axioms.all_support_matchings(rs, tails, heads) == want, (
+                rs.letters, tails, heads
+            )
 
 
 def test_restriction_patterns_match_oracle(shared_pair_relation):

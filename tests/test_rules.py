@@ -119,6 +119,7 @@ def test_exactly_one_classification_clause():
 def test_code_and_letters_roundtrip():
     for code in range(64):
         rs = RuleSet.from_code(code)
+        assert RuleSet.from_code(code) is rs
         assert rs.code == code
         assert RuleSet.from_letters(rs.letters) == rs
         assert RuleSet.parse(str(code)) == rs
@@ -134,6 +135,9 @@ def test_parse_aliases_and_errors():
         RuleSet.parse("ZZZZZZ")
     with pytest.raises(ValueError):
         RuleSet.parse("64")
+    for code in (-1, 64):
+        with pytest.raises(ValueError):
+            RuleSet.from_code(code)
     with pytest.raises(ValueError):
         RuleSet.parse("THTH:nest")
 
@@ -195,6 +199,18 @@ def test_aliases_cover_the_orbits():
         seen.add(orbit)
     for rep in reps:
         assert alias_of(rep) in TABLE_ROW_ORDER
+
+
+def test_alias_of_is_the_orbit_scan():
+    def scan(rs):
+        for name in TABLE_ROW_ORDER:
+            if rs in orbit_of(ALIASES[name]):
+                return name
+        return None
+
+    names = [alias_of(rs) for rs in all_rulesets()]
+    assert names == [scan(rs) for rs in all_rulesets()]
+    assert names.count(None) == 30
 
 
 def test_is_edge_examples():

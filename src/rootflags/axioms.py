@@ -9,9 +9,12 @@ exhaustively on the adjacency bitmasks of ``complexes.adjacency``, together
 with the underlying matching-ensemble axioms on complete bipartite graphs
 and the spanning-tree correspondence.
 
-Bipartite objects live on K_{a,b} with left part 1..a and right part 1..b;
-edges are plain (left, right) pairs and matchings/forests are frozensets
-of edges.
+Bipartite objects live on K_{a,b} with left part 1..a and right part 1..b.
+The public functions take and return edges as plain (left, right) pairs and
+matchings/forests as frozensets of edges; inside, an edge set is an int with
+edge (l, r) at bit (l-1)*b + (r-1), so the matchings within a restriction,
+the spanning trees, phi, phi_inverse and the alternating-cycle test run on
+edge bitmasks and convert at the public boundary.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .complexes import _node_masks, adjacency, check_ambient_size
+from .complexes import _adjacency, _node_masks, adjacency, check_ambient_size
 from .matchings import th_word
 from .rules import Arrow, RuleSet, arrows_of, parse_nodes
 
@@ -211,13 +214,10 @@ def check_support_axiom(
     return AxiomReport("support", not witnesses, tuple(witnesses))
 
 
-def _matching_cliques(
-    n: int, masks: Sequence[int], start: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Arrow indices of the nonempty matching faces with all arrows in start
-    (default: every arrow), in the lexicographic order of
-    ``enumerate_faces``: its DFS with the candidates cut down to the arrows
-    that touch no node of the face so far."""
+def _matching_cliques(n: int, masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Arrow indices of the nonempty matching faces, in the lexicographic
+    order of ``enumerate_faces``: its DFS with the candidates cut down to
+    the arrows that touch no node of the face so far."""
     touch = _touch_masks(n)
     prefix: list[int] = []
 
@@ -231,7 +231,7 @@ def _matching_cliques(
             yield from rec(cand & masks[v] & ~touch[v])
             prefix.pop()
 
-    yield from rec((1 << len(masks)) - 1 if start is None else start)
+    yield from rec((1 << len(masks)) - 1)
 
 
 def matching_faces(rs: RuleSet, n: int) -> Iterator[Matching]:
@@ -555,43 +555,77 @@ def me_axioms(ensemble: BipartiteEnsemble, all_witnesses: bool = False) -> Axiom
     return AxiomReport("ensemble", not witnesses, tuple(witnesses))
 
 
-def _matchings_within(edges: Iterable[BipartiteEdge]) -> set[EdgeSet]:
-    """All matchings contained in an edge set."""
-    edges = sorted(edges)
-    out: set[EdgeSet] = set()
+def _edge_mask(edges: Iterable[BipartiteEdge], a: int, b: int) -> int:
+    """An edge set of K_{a,b} as an int: edge (l, r) is bit (l-1)*b + (r-1)."""
+    edges = frozenset(edges)
+    if any(not (1 <= l <= a and 1 <= r <= b) for l, r in edges):
+        raise ValueError(f"edge out of range in {sorted(edges)}")
+    return sum(1 << (l - 1) * b + r - 1 for l, r in edges)
 
-    def rec(start: int, chosen: list[BipartiteEdge]) -> None:
-        out.add(frozenset(chosen))
-        for idx in range(start, len(edges)):
-            e = edges[idx]
-            if all(e[0] != f[0] and e[1] != f[1] for f in chosen):
-                chosen.append(e)
-                rec(idx + 1, chosen)
-                chosen.pop()
 
-    rec(0, [])
-    return out
+def _edge_set(mask: int, b: int) -> EdgeSet:
+    """The edge set of an edge mask of K_{a,b}."""
+    edges = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        l, r = divmod(low.bit_length() - 1, b)
+        edges.append((l + 1, r + 1))
+    return frozenset(edges)
+
+
+@lru_cache(maxsize=1024)
+def _edge_family(b: int, family: frozenset[int]) -> frozenset[EdgeSet]:
+    """A family of edge masks as a family of edge sets, one object per
+    distinct family."""
+    return frozenset(_edge_set(m, b) for m in family)
+
+
+def _matchings_in(a: int, b: int, edges: int, adjacent: Sequence[int] | None = None) -> list[int]:
+    """The matchings of K_{a,b} inside an edge mask whose edges are pairwise
+    adjacent (per edge, the mask of its neighbours; default: all edges), as
+    edge masks, the empty matching first."""
+    row = (1 << b) - 1
+    column = sum(1 << l * b for l in range(a))
+    keep = [
+        ~(row << k // b * b | column << k % b) & (-1 if adjacent is None else adjacent[k])
+        for k in range(a * b)
+    ]
+    found: list[int] = []
+
+    def rec(cand: int, face: int) -> None:
+        found.append(face)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            rec(cand & keep[low.bit_length() - 1], face | low)
+
+    rec(edges, 0)
+    return found
+
+
+def _phi(a: int, b: int, trees: Iterable[int]) -> frozenset[int]:
+    """``phi`` on edge masks."""
+    return frozenset(m for tree in trees for m in _matchings_in(a, b, tree))
 
 
 def phi(trees: Iterable[EdgeSet], a: int, b: int) -> BipartiteEnsemble:
     """Union over the trees of all matchings contained in each tree."""
-    matchings: set[EdgeSet] = set()
-    for tree in trees:
-        matchings |= _matchings_within(tree)
-    return BipartiteEnsemble(a, b, frozenset(matchings))
+    family = _phi(a, b, [_edge_mask(tree, a, b) for tree in trees])
+    return BipartiteEnsemble(a, b, _edge_family(b, family))
 
 
 def spanning_trees(a: int, b: int) -> list[EdgeSet]:
     """All spanning trees of K_{a,b}."""
-    return list(_spanning_trees(a, b))
+    return [_edge_set(tree, b) for tree in _spanning_trees(a, b)]
 
 
 @lru_cache(maxsize=64)
-def _spanning_trees(a: int, b: int) -> tuple[EdgeSet, ...]:
-    edges = [(l, r) for l in range(1, a + 1) for r in range(1, b + 1)]
+def _spanning_trees(a: int, b: int) -> tuple[int, ...]:
+    """The spanning trees of K_{a,b} as edge masks, in the order of the
+    (a+b-1)-subsets of the edge bits."""
     out = []
-    want = a + b - 1
-    for combo in itertools.combinations(edges, want):
+    for combo in itertools.combinations(range(a * b), a + b - 1):
         parent = list(range(a + b))
 
         def find(x: int) -> int:
@@ -599,59 +633,71 @@ def _spanning_trees(a: int, b: int) -> tuple[EdgeSet, ...]:
                 x = parent[x]
             return x
 
-        acyclic = True
-        for l, r in combo:
-            ra, rb = find(l - 1), find(a + r - 1)
+        for k in combo:
+            l, r = divmod(k, b)
+            ra, rb = find(l), find(a + r)
             if ra == rb:
-                acyclic = False
                 break
             parent[ra] = rb
-        if acyclic:
-            out.append(frozenset(combo))
+        else:
+            out.append(sum(1 << k for k in combo))
     return tuple(out)
 
 
 @lru_cache(maxsize=8192)
-def _has_alternating_cycle(first: EdgeSet, second: EdgeSet) -> bool:
-    """A simple cycle of length >= 4 whose edges alternate between the two
-    edge sets.  Vertices are ("L", i) / ("R", j)."""
+def _alternating_cycle(a: int, b: int, first: int, second: int) -> bool:
+    """Whether two edge masks of K_{a,b} have a simple cycle of length >= 4
+    whose edges alternate between them.
 
-    def endpoints(e: BipartiteEdge) -> tuple[tuple[str, int], tuple[str, int]]:
-        return ("L", e[0]), ("R", e[1])
+    With first's edges directed left to right and second's right to left,
+    such a cycle is a directed cycle through at least two right vertices;
+    it is searched from its least left vertex by a path DFS on vertex masks.
+    """
+    right_of = [first >> l * b & (1 << b) - 1 for l in range(a)]
+    left_of = [sum((second >> l * b + r & 1) << l for l in range(a)) for r in range(b)]
 
-    def incident(role: EdgeSet, v: tuple[str, int]) -> list[BipartiteEdge]:
-        side, value = v
-        k = 0 if side == "L" else 1
-        return [e for e in role if e[k] == value]
-
-    def walk(current, start, need_second, visited, used, length) -> bool:
-        role = second if need_second else first
-        for e in incident(role, current):
-            if e in used:
-                continue
-            u, w = endpoints(e)
-            nxt = w if u == current else u
-            if nxt == start:
-                if length + 1 >= 4 and need_second:
-                    return True
-                continue
-            if nxt in visited:
-                continue
-            if walk(nxt, start, not need_second, visited | {nxt}, used | {e}, length + 1):
+    def from_left(start: int, l: int, lefts: int, rights: int) -> bool:
+        step = right_of[l] & ~rights
+        while step:
+            low = step & -step
+            step ^= low
+            back = left_of[low.bit_length() - 1]
+            if rights and back >> start & 1:
                 return True
+            back &= ~lefts & -(2 << start)
+            while back:
+                nxt = back & -back
+                back ^= nxt
+                if from_left(start, nxt.bit_length() - 1, lefts | nxt, rights | low):
+                    return True
         return False
 
-    for e in first:
-        u, w = endpoints(e)
-        if walk(w, u, True, {u, w}, {e}, 1):
-            return True
-    return False
+    return any(from_left(l, l, 1 << l, 0) for l in range(a))
 
 
 def postnikov_compatible(first: EdgeSet, second: EdgeSet) -> bool:
     """Two bipartite forests span simplices meeting in a common face exactly
     when their union has no alternating cycle of length >= 4."""
-    return not _has_alternating_cycle(frozenset(first), frozenset(second))
+    first, second = frozenset(first), frozenset(second)
+    # relabel the vertices that occur to 1..a and 1..b
+    left = {l: k for k, l in enumerate(sorted({l for l, _ in first | second}), 1)}
+    right = {r: k for k, r in enumerate(sorted({r for _, r in first | second}), 1)}
+    a, b = len(left), len(right)
+    first_mask, second_mask = (
+        _edge_mask(((left[l], right[r]) for l, r in edges), a, b) for edges in (first, second)
+    )
+    return not _alternating_cycle(a, b, first_mask, second_mask)
+
+
+def _compatible_trees(a: int, b: int, family: Iterable[int]) -> list[int]:
+    """The spanning trees of K_{a,b} with no alternating cycle with any
+    matching of the family (edge masks)."""
+    nonempty = [m for m in family if m]
+    return [
+        tree
+        for tree in _spanning_trees(a, b)
+        if not any(_alternating_cycle(a, b, tree, m) for m in nonempty)
+    ]
 
 
 def phi_inverse(ensemble: BipartiteEnsemble) -> frozenset[EdgeSet]:
@@ -662,40 +708,46 @@ def phi_inverse(ensemble: BipartiteEnsemble) -> frozenset[EdgeSet]:
     report = me_axioms(ensemble)
     if not report.passed:
         raise ValueError(f"not a matching ensemble: {report.to_json_dict()}")
-    nonempty = [m for m in ensemble.matchings if m]
-    out = []
-    for tree in _spanning_trees(ensemble.a, ensemble.b):
-        if all(postnikov_compatible(tree, m) for m in nonempty):
-            out.append(tree)
-    return frozenset(out)
+    a, b = ensemble.a, ensemble.b
+    family = [_edge_mask(m, a, b) for m in ensemble.matchings]
+    return frozenset(_edge_set(tree, b) for tree in _compatible_trees(a, b, family))
 
 
 @lru_cache(maxsize=100000)
-def _restriction_by_pattern(code: int, pattern: tuple[str, ...]) -> frozenset[EdgeSet]:
-    """Relabeled matchings of a rule set within I x J, keyed by the tail/head
-    pattern of sorted(I + J); uniformity makes the node labels irrelevant.
-    They are the matching faces among the arrows from the pattern's tail
-    positions to its head positions, with the pattern placed on nodes
-    1..len(pattern)."""
+def _restriction_by_pattern(code: int, pattern: tuple[str, ...]) -> frozenset[int]:
+    """Relabeled matchings of a rule set within I x J, as edge masks of
+    K_{|I|,|J|}, keyed by the tail/head pattern of sorted(I + J); uniformity
+    makes the node labels irrelevant.  They are the matching faces among the
+    arrows from the pattern's tail positions to its head positions, with the
+    pattern placed on nodes 1..len(pattern), and depend only on the
+    adjacency among those arrows."""
     n = max(len(pattern) - 1, 0)
-    arrows, masks = adjacency(RuleSet.from_code(code), n)
+    masks = _adjacency(code, n)[1]
     index = _index_table(n)
     tails = [p for p, letter in enumerate(pattern, 1) if letter == "T"]
     heads = [p for p, letter in enumerate(pattern, 1) if letter == "H"]
-    left = {node: k + 1 for k, node in enumerate(tails)}
-    right = {node: k + 1 for k, node in enumerate(heads)}
-    start = sum(1 << index[t][h] for t in tails for h in heads)
-    out: set[EdgeSet] = {frozenset()}
-    for face in _matching_cliques(n, masks, start):
-        out.add(frozenset((left[arrows[v].tail], right[arrows[v].head]) for v in face))
-    return _interned_family(frozenset(out))
+    arrows = tuple(index[t][h] for t in tails for h in heads)
+    start = sum(1 << v for v in arrows)
+    return _family(len(tails), len(heads), arrows, tuple(masks[v] & start for v in arrows))
+
+
+@lru_cache(maxsize=4096)
+def _family(
+    a: int, b: int, arrows: tuple[int, ...], restricted: tuple[int, ...]
+) -> frozenset[int]:
+    """The matchings of K_{a,b}, as edge masks, whose arrows are pairwise
+    edges: edge bit k is the k-th arrow, and restricted holds its
+    neighbours among the arrows, as an arrow mask."""
+    adjacent = [sum(1 << k for k, w in enumerate(arrows) if mask >> w & 1) for mask in restricted]
+    return _interned_family(frozenset(_matchings_in(a, b, (1 << a * b) - 1, adjacent)))
 
 
 @lru_cache(maxsize=100000)
-def _interned_family(family: frozenset[EdgeSet]) -> frozenset[EdgeSet]:
+def _interned_family(family: frozenset[int]) -> frozenset[int]:
     """The first cached family equal to this one, so that patterns with equal
-    families share one object (74 distinct among the 2,108 patterns of the
-    matching-ensembles check)."""
+    families share one object (the 2,108 patterns of the matching-ensembles
+    check have 274 restricted adjacencies and 72 distinct families, 74 with
+    their part sizes)."""
     return family
 
 
@@ -712,5 +764,5 @@ def restriction_ensemble(
     pattern = tuple(
         "T" if node in tail_set else "H" for node in sorted(tails + heads)
     )
-    matchings = _restriction_by_pattern(rs.code, pattern)
-    return BipartiteEnsemble(len(tails), len(heads), matchings)
+    family = _restriction_by_pattern(rs.code, pattern)
+    return BipartiteEnsemble(len(tails), len(heads), _edge_family(len(heads), family))

@@ -1,9 +1,9 @@
 """Oracle-vs-closed-form comparisons, packaged for the CLI and test suite.
 
 Every check pits an exact evaluator against an independent route: the
-face tables counted on the complexes (tested against clique enumeration),
-clique enumeration itself, literal lattice-path walks, or a second
-algebraic derivation.  Results are exact integer/rational comparisons; a
+face tables counted on the complexes, the end tallies of the clique DFS
+(both tested against face enumeration), literal lattice-path walks, or a
+second algebraic derivation.  Results are exact integer/rational comparisons; a
 check never loosens to a tolerance.
 """
 
@@ -18,17 +18,18 @@ from typing import Callable, Iterable, Sequence
 from . import series as srs
 from .axioms import (
     BipartiteEnsemble,
+    _alternating_cycle,
+    _compatible_trees,
+    _edge_family,
+    _phi,
     _restriction_by_pattern,
-    phi,
-    phi_inverse,
-    postnikov_compatible,
+    me_axioms,
 )
 from .complexes import (
+    _end_tally,
     _excess_degrees,
-    _iter_cliques,
     adjacency,
     dimension_face_count,
-    enumerate_faces,
     excess_degree_formula,
     face_table,
 )
@@ -259,28 +260,48 @@ def check_transfer_roundtrip(zorder: int) -> CheckResult:
     )
 
 
+def _saturated_at(nodes: int) -> int | None:
+    """The n at which a face on these node bits is saturated: its nodes are
+    exactly 1..n+1, or none for the empty face at n = 0."""
+    if not nodes:
+        return 0
+    n = nodes.bit_length() - 2
+    return n if nodes == (1 << n + 2) - 2 else None
+
+
+def _arrows_where(rs: RuleSet, n: int, forward: bool) -> int:
+    """The mask of the forward (or backward) arrows of V_n."""
+    return sum(1 << v for v, a in enumerate(adjacency(rs, n)[0]) if a.forward == forward)
+
+
+def prefix_refined_counts(
+    rs: RuleSet, n_max: int
+) -> tuple[dict[tuple[int, int, int], int], dict[tuple[int, int, int], int]]:
+    """The backward-only faces of V_n, n <= n_max, keyed (i, arrows, n) where
+    the first i nodes of a face are heads; and the same for the nonempty
+    saturated ones.
+
+    Reduced from one end tally of V_{n_max} on its backward arrows, whose
+    lower ends are the heads: by uniformity a face whose nodes lie in
+    1..m+1 is a face of every V_n with m <= n <= n_max."""
+    counts: dict[tuple[int, int, int], int] = {}
+    saturated: dict[tuple[int, int, int], int] = {}
+    tally = _end_tally(rs.code, n_max, _arrows_where(rs, n_max, False))
+    for (heads, tails, _, size), c in tally.items():
+        nodes = heads | tails
+        i = (nodes & (tails & -tails) - 1).bit_count()
+        for n in range(max(nodes.bit_length() - 2, 0), n_max + 1):
+            counts[i, size, n] = counts.get((i, size, n), 0) + c
+        n = _saturated_at(nodes)
+        if size and n is not None:
+            saturated[i, size, n] = saturated.get((i, size, n), 0) + c
+    return counts, saturated
+
+
 def check_prefix_refined(zorder: int) -> CheckResult:
-    n_max = min(zorder, 5)
+    n_max = min(zorder, 7)
     i_max = n_max
-    rs = ALIASES["LEX_NN"]
-    brute: dict[tuple[int, int, int], int] = {}
-    brute_sat: dict[tuple[int, int, int], int] = {}
-    for n in range(n_max + 1):
-        for face in enumerate_faces(rs, n):
-            if face.forward:
-                continue
-            if not face.arrows:
-                i = 0
-            else:
-                nodes = face.nodes
-                heads = {a.head for a in face.arrows}
-                i = 0
-                while i < len(nodes) and nodes[i] in heads:
-                    i += 1
-            key = (i, face.backward, n)
-            brute[key] = brute.get(key, 0) + 1
-            if face.saturated and face.arrows:
-                brute_sat[key] = brute_sat.get(key, 0) + 1
+    brute, brute_sat = prefix_refined_counts(ALIASES["LEX_NN"], n_max)
     bad = []
     for i in range(i_max + 1):
         f = srs.refined_backward_series(i, n_max, n_max)
@@ -301,23 +322,34 @@ def check_prefix_refined(zorder: int) -> CheckResult:
     )
 
 
+def forward_saturated_groups(
+    rs: RuleSet, n_max: int
+) -> dict[int, dict[tuple[int, int, int], int]]:
+    """Per n in 1..n_max, the nonempty forward-only saturated faces of V_n
+    keyed (tails - 1, heads - 1, arrows).
+
+    Reduced from one end tally of V_{n_max} on its forward arrows, whose
+    lower ends are the tails: by uniformity the saturated faces of V_n are
+    the faces of the larger complex on exactly the nodes 1..n+1."""
+    groups: dict[int, dict[tuple[int, int, int], int]] = {n: {} for n in range(1, n_max + 1)}
+    tally = _end_tally(rs.code, n_max, _arrows_where(rs, n_max, True))
+    for (tails, heads, _, size), c in tally.items():
+        n = _saturated_at(tails | heads)
+        if size and n is not None:
+            key = (tails.bit_count() - 1, heads.bit_count() - 1, size)
+            groups[n][key] = groups[n].get(key, 0) + c
+    return groups
+
+
 def check_forward_saturated_delannoy(zorder: int) -> CheckResult:
-    n_max = min(max(zorder, 1), 5)
+    n_max = min(max(zorder, 1), 7)
     bad = []
     compared = 0
     for name in ("SIMION_A_NN", "SIMION_C", "REVLEX_NN"):
         rs = ALIASES[name]
         if rs.thth != NEST:
             continue
-        for n in range(1, n_max + 1):
-            buckets: dict[tuple[int, int, int], int] = {}
-            for face in enumerate_faces(rs, n):
-                if face.backward or not face.saturated or not face.arrows:
-                    continue
-                tails = len({a.tail for a in face.arrows})
-                heads = len({a.head for a in face.arrows})
-                key = (tails - 1, heads - 1, len(face.arrows))
-                buckets[key] = buckets.get(key, 0) + 1
+        for n, buckets in forward_saturated_groups(rs, n_max).items():
             for a in range(n):
                 b = n - 1 - a
                 poly = srs.delannoy_poly(a, b)
@@ -440,27 +472,18 @@ def node_enriched_counts(rs: RuleSet, u_order: int, v_order: int) -> dict:
     face adds 1/(u! v!), where u counts the nodes that are only the lower
     end of arrows and v those that are only the upper end.
 
-    Tallied on the clique walk of the adjacency masks: per face the lower
-    and upper ends are ORed as node bitmasks."""
+    Reduced from one end tally of V_n, n = u_order + v_order - 1, on all its
+    arrows: by uniformity the saturated faces of a smaller V_m are the faces
+    on exactly the nodes 1..m+1."""
     tally: dict[tuple[int, int, int, int, int], int] = {}
-    for n in range(u_order + v_order):
-        arrows, masks = adjacency(rs, n)
-        lower = [1 << min(a) for a in arrows]
-        upper = [1 << max(a) for a in arrows]
-        forward = [a.forward for a in arrows]
-        nodes = (1 << n + 2) - 2
-        for face, _ in _iter_cliques(arrows, masks, n):
-            left = right = fwd = 0
-            for v in face:
-                left |= lower[v]
-                right |= upper[v]
-                fwd += forward[v]
-            if n and left | right != nodes:
-                continue
-            u, v = (left & ~right).bit_count(), (right & ~left).bit_count()
-            if u <= u_order and v <= v_order:
-                key = (u, v, fwd, len(face) - fwd, n)
-                tally[key] = tally.get(key, 0) + 1
+    top = u_order + v_order - 1
+    ends = _end_tally(rs.code, top, (1 << top * (top + 1)) - 1) if top >= 0 else {}
+    for (lower, upper, fwd, size), c in ends.items():
+        n = _saturated_at(lower | upper)
+        u, v = (lower & ~upper).bit_count(), (upper & ~lower).bit_count()
+        if n is not None and u <= u_order and v <= v_order:
+            key = (u, v, fwd, size - fwd, n)
+            tally[key] = tally.get(key, 0) + c
     return {key: Fraction(c, factorial(key[0]) * factorial(key[1])) for key, c in tally.items()}
 
 
@@ -601,27 +624,25 @@ def check_excess_formula(zorder: int) -> CheckResult:
 
 def check_matching_ensembles(zorder: int) -> CheckResult:
     bad = []
-    cache: set = set()
+    seen: set = set()
     for rs in valid_rulesets():
         for a, b in itertools.product((1, 2, 3), repeat=2):
             for positions in itertools.combinations(range(1, a + b + 1), a):
                 tails = positions
                 heads = tuple(x for x in range(1, a + b + 1) if x not in positions)
                 pattern = tuple("T" if x in positions else "H" for x in range(1, a + b + 1))
-                key = (a, b, _restriction_by_pattern(rs.code, pattern))
-                if key in cache:
+                family = _restriction_by_pattern(rs.code, pattern)  # edge masks
+                if (a, b, family) in seen:
                     continue
-                cache.add(key)
-                ens = BipartiteEnsemble(*key)
-                try:
-                    trees = phi_inverse(ens)  # refuses ensembles failing the axioms
-                except ValueError:
+                seen.add((a, b, family))
+                if not me_axioms(BipartiteEnsemble(a, b, _edge_family(b, family))).passed:
                     bad.append((rs.letters, tails, heads, "axioms"))
                     continue
-                if phi(trees, ens.a, ens.b).matchings != ens.matchings:
+                trees = _compatible_trees(a, b, family)
+                if _phi(a, b, trees) != family:
                     bad.append((rs.letters, tails, heads, "phi-roundtrip"))
-                for t1, t2 in itertools.combinations_with_replacement(sorted(trees, key=sorted), 2):
-                    if not postnikov_compatible(t1, t2):
+                for t1, t2 in itertools.combinations_with_replacement(trees, 2):
+                    if _alternating_cycle(a, b, t1, t2):
                         bad.append((rs.letters, tails, heads, "postnikov"))
     return _result(
         "matching-ensembles",

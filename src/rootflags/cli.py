@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 from . import checks as checks_mod
@@ -67,12 +65,6 @@ def _parse_ruleset(text: str) -> RuleSet:
         return RuleSet.parse(text)
     except (ValueError, KeyError) as exc:
         raise UsageError(f"cannot parse rule code {text!r}: {exc}") from None
-
-
-def _check_jobs(jobs: int) -> None:
-    limit = os.cpu_count() or 1
-    if not 1 <= jobs <= limit:
-        raise UsageError(f"--jobs must be between 1 and {limit}, got {jobs}")
 
 
 def _check_orders(args: argparse.Namespace, *flags: str) -> None:
@@ -177,12 +169,7 @@ def _verify_one(code: int, n: int, all_witnesses: bool) -> dict:
     }
 
 
-def _verify_worker(payload: tuple[int, int, bool]) -> dict:
-    return _verify_one(*payload)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_jobs(args.jobs)
     check_resource_cap(args.n, args.force)
     if args.all:
         codes = list(range(64))
@@ -191,12 +178,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         raise UsageError("verify needs a code or --all")
 
-    jobs = [(code, args.n, args.all_witnesses) for code in codes]
-    if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_verify_worker, jobs))
-    else:
-        results = [_verify_worker(job) for job in jobs]
+    results = [_verify_one(code, args.n, args.all_witnesses) for code in codes]
 
     if args.all:
         # the class labels predict the verdicts only from n = 5 upward; below
@@ -398,13 +380,7 @@ def cmd_series_dump(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_worker(payload: tuple[str, int]) -> dict:
-    name, zorder = payload
-    return checks_mod.CHECKS[name](zorder).to_json_dict()
-
-
 def cmd_series_check(args: argparse.Namespace) -> int:
-    _check_jobs(args.jobs)
     _check_orders(args, "zorder")
     if args.names:
         names = args.names
@@ -413,12 +389,7 @@ def cmd_series_check(args: argparse.Namespace) -> int:
     unknown = [n for n in names if n not in checks_mod.CHECKS]
     if unknown:
         raise UsageError(f"unknown checks {unknown}; known: {sorted(checks_mod.CHECKS)}")
-    jobs = [(name, args.zorder) for name in names]
-    if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_check_worker, jobs))
-    else:
-        results = [_check_worker(job) for job in jobs]
+    results = [checks_mod.CHECKS[name](args.zorder).to_json_dict() for name in names]
     ok = all(r["pass"] for r in results)
     if args.format == "json":
         _emit_json({"zorder": args.zorder, "checks": results, "verdict": "pass" if ok else "fail"})
@@ -456,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--all-witnesses", action="store_true")
     p.add_argument("--force", action="store_true", help="override the resource cap")
-    p.add_argument("--jobs", type=int, default=1)
     add_format(p)
     p.set_defaults(func=cmd_verify)
 
@@ -505,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--names", nargs="*", help="subset of checks to run")
         p.add_argument("--all", action="store_true", help="run every check (default)")
         p.add_argument("--zorder", type=int, default=5)
-        p.add_argument("--jobs", type=int, default=1)
         add_format(p)
         p.set_defaults(func=cmd_series_check)
 

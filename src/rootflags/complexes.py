@@ -14,6 +14,9 @@ part of the contract of ``enumerate_faces``.
 Face tables are counted, not walked: a clique count memoised on the
 candidate mask yields the (forward, backward) polynomial of every complex
 V_m, m <= n, at once, and the saturated tables follow by binomial inversion.
+The oracles of ``series check`` that need more than (forward, backward)
+read one end tally instead: the cliques inside a start mask counted by the
+nodes their arrows touch as lower and as upper ends (``_end_tally``).
 """
 
 from __future__ import annotations
@@ -200,6 +203,34 @@ def _iter_cliques(
 
     full = (1 << m) - 1
     yield from rec(full, 0)
+
+
+def _end_tally(code: int, n: int, start: int) -> dict[tuple[int, int, int, int], int]:
+    """Count the cliques of V_n inside the start mask by their ends.
+
+    A key is (lower, upper, forward, size): lower and upper OR the node bits
+    1 << min(arrow) and 1 << max(arrow) over the clique's arrows, forward
+    counts its forward arrows and size all of them.  The four values are
+    carried down the clique DFS, so a clique costs one dict update.
+    """
+    arrows, masks = _adjacency(code, n)
+    lower = [1 << min(arrow) for arrow in arrows]
+    upper = [1 << max(arrow) for arrow in arrows]
+    forward = [int(arrow.forward) for arrow in arrows]
+    tally: dict[tuple[int, int, int, int], int] = {}
+    get = tally.get
+
+    def rec(cand: int, lo: int, up: int, fwd: int, size: int) -> None:
+        key = (lo, up, fwd, size)
+        tally[key] = get(key, 0) + 1
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            rec(cand & masks[v], lo | lower[v], up | upper[v], fwd + forward[v], size + 1)
+
+    rec(start, 0, 0, 0, 0)
+    return tally
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 TYPE_WORDS = ("THTH", "HTHT", "THHT", "HTTH", "TTHH", "HHTT")
@@ -178,7 +178,7 @@ class RuleSet:
         """The placement this rule set declares to be an edge for the word."""
         return PLACEMENT_OF_CHOICE[self.choice(word)]
 
-    @property
+    @cached_property
     def code(self) -> int:
         """Canonical 6-bit integer; MSB = THTH, bit set = first-listed choice."""
         value = 0

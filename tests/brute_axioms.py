@@ -7,20 +7,27 @@ questions on adjacency bitmasks.  The reports must agree exactly, witnesses
 and their order included.  The same holds for the support matchings of one
 (I, J) and the matchings of one restriction pattern, which the library also
 reads off the masks.
+
+The K_{a,b} layer is kept here on frozensets of (left, right) edges: the
+spanning trees, the matchings inside an edge set, phi and phi_inverse, and
+the alternating-cycle test; the library runs them on edge bitmasks.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from rootflags.axioms import (
     AxiomReport,
+    BipartiteEdge,
+    BipartiteEnsemble,
     EdgeSet,
     Matching,
     Violation,
     _arrow_json,
     _disjoint_pairs,
+    me_axioms,
 )
 from rootflags.complexes import enumerate_faces
 from rootflags.rules import Arrow, RuleSet, arrows_of, is_edge, pair_relation
@@ -181,3 +188,99 @@ def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axiom
         if witnesses and not all_witnesses:
             break
     return AxiomReport("permissible", not witnesses, tuple(witnesses))
+
+
+def matchings_within(edges: Iterable[BipartiteEdge]) -> set[EdgeSet]:
+    """All matchings contained in an edge set."""
+    edges = sorted(edges)
+    out: set[EdgeSet] = set()
+
+    def rec(start: int, chosen: list[BipartiteEdge]) -> None:
+        out.add(frozenset(chosen))
+        for idx in range(start, len(edges)):
+            e = edges[idx]
+            if all(e[0] != f[0] and e[1] != f[1] for f in chosen):
+                chosen.append(e)
+                rec(idx + 1, chosen)
+                chosen.pop()
+
+    rec(0, [])
+    return out
+
+
+def phi(trees: Iterable[EdgeSet], a: int, b: int) -> BipartiteEnsemble:
+    matchings: set[EdgeSet] = set()
+    for tree in trees:
+        matchings |= matchings_within(tree)
+    return BipartiteEnsemble(a, b, frozenset(matchings))
+
+
+def spanning_trees(a: int, b: int) -> list[EdgeSet]:
+    edges = [(l, r) for l in range(1, a + 1) for r in range(1, b + 1)]
+    out = []
+    for combo in itertools.combinations(edges, a + b - 1):
+        parent = list(range(a + b))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        acyclic = True
+        for l, r in combo:
+            ra, rb = find(l - 1), find(a + r - 1)
+            if ra == rb:
+                acyclic = False
+                break
+            parent[ra] = rb
+        if acyclic:
+            out.append(frozenset(combo))
+    return out
+
+
+def has_alternating_cycle(first: EdgeSet, second: EdgeSet) -> bool:
+    """A simple cycle of length >= 4 whose edges alternate between the two
+    edge sets.  Vertices are ("L", i) / ("R", j)."""
+
+    def endpoints(e: BipartiteEdge) -> tuple[tuple[str, int], tuple[str, int]]:
+        return ("L", e[0]), ("R", e[1])
+
+    def incident(role: EdgeSet, v: tuple[str, int]) -> list[BipartiteEdge]:
+        side, value = v
+        k = 0 if side == "L" else 1
+        return [e for e in role if e[k] == value]
+
+    def walk(current, start, need_second, visited, used, length) -> bool:
+        role = second if need_second else first
+        for e in incident(role, current):
+            if e in used:
+                continue
+            u, w = endpoints(e)
+            nxt = w if u == current else u
+            if nxt == start:
+                if length + 1 >= 4 and need_second:
+                    return True
+                continue
+            if nxt in visited:
+                continue
+            if walk(nxt, start, not need_second, visited | {nxt}, used | {e}, length + 1):
+                return True
+        return False
+
+    for e in first:
+        u, w = endpoints(e)
+        if walk(w, u, True, {u, w}, {e}, 1):
+            return True
+    return False
+
+
+def phi_inverse(ensemble: BipartiteEnsemble) -> frozenset[EdgeSet]:
+    report = me_axioms(ensemble)
+    if not report.passed:
+        raise ValueError(f"not a matching ensemble: {report.to_json_dict()}")
+    nonempty = [m for m in ensemble.matchings if m]
+    return frozenset(
+        tree
+        for tree in spanning_trees(ensemble.a, ensemble.b)
+        if not any(has_alternating_cycle(tree, m) for m in nonempty)
+    )

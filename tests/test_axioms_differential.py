@@ -165,7 +165,75 @@ def test_restriction_patterns_match_oracle(shared_pair_relation):
         for a, b in itertools.product(range(4), repeat=2)
         for pattern in set(itertools.permutations("T" * a + "H" * b))
     ]
+    shared = {}
     for rs in CODES:
         for pattern in patterns:
             want = brute.restriction_by_pattern(rs, pattern)
-            assert axioms._restriction_by_pattern(rs.code, pattern) == want, (rs.letters, pattern)
+            got = axioms._restriction_by_pattern(rs.code, pattern)  # edge masks
+            assert axioms._edge_family(pattern.count("H"), got) == want, (rs.letters, pattern)
+            if "T" in pattern and "H" in pattern:
+                tails, heads = _tails_heads(pattern)
+                matchings = axioms.restriction_ensemble(rs, tails, heads).matchings
+                assert matchings == want, (rs.letters, pattern)
+                # equal families are one object
+                assert shared.setdefault(want, matchings) is matchings, (rs.letters, pattern)
+
+
+def _tails_heads(pattern):
+    tails = [p for p, letter in enumerate(pattern, 1) if letter == "T"]
+    heads = [p for p, letter in enumerate(pattern, 1) if letter == "H"]
+    return tails, heads
+
+
+@lru_cache(maxsize=None)
+def ensemble_families():
+    """The distinct restriction ensembles of the valid codes with
+    1 <= |I|, |J| <= 3, the ones the matching-ensembles check visits."""
+    found = {}
+    for rs in rules.valid_rulesets():
+        for a, b in itertools.product((1, 2, 3), repeat=2):
+            for pattern in set(itertools.permutations("T" * a + "H" * b)):
+                ens = axioms.restriction_ensemble(rs, *_tails_heads(pattern))
+                found.setdefault((ens.a, ens.b, ens.matchings), ens)
+    return tuple(found.values())
+
+
+def _k22_diagonal_ensembles():
+    out = []
+    for diagonal in (frozenset({(1, 1), (2, 2)}), frozenset({(1, 2), (2, 1)})):
+        trees = [t for t in brute.spanning_trees(2, 2) if not brute.has_alternating_cycle(t, diagonal)]
+        out.append(brute.phi(trees, 2, 2))
+    return out
+
+
+def test_spanning_trees_match_oracle():
+    for a, b in itertools.product(range(1, 4), repeat=2):
+        assert axioms.spanning_trees(a, b) == brute.spanning_trees(a, b), (a, b)
+
+
+def test_postnikov_compatible_matches_oracle_on_k33_trees():
+    trees = brute.spanning_trees(3, 3)
+    for t1, t2 in itertools.product(trees, repeat=2):
+        want = not brute.has_alternating_cycle(t1, t2)
+        assert axioms.postnikov_compatible(t1, t2) == want, (sorted(t1), sorted(t2))
+
+
+def test_postnikov_compatible_matches_oracle_on_ensemble_trees_and_matchings():
+    families = ensemble_families()
+    assert len(families) == 74
+    pairs = {
+        (tree, m)
+        for ens in families
+        for tree in brute.spanning_trees(ens.a, ens.b)
+        for m in ens.matchings
+    }
+    for tree, m in pairs:
+        want = not brute.has_alternating_cycle(tree, m)
+        assert axioms.postnikov_compatible(tree, m) == want, (sorted(tree), sorted(m))
+
+
+def test_phi_and_phi_inverse_match_oracle():
+    for ens in ensemble_families() + tuple(_k22_diagonal_ensembles()):
+        trees = brute.phi_inverse(ens)
+        assert axioms.phi_inverse(ens) == trees, ens
+        assert axioms.phi(trees, ens.a, ens.b) == brute.phi(trees, ens.a, ens.b) == ens

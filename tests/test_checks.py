@@ -93,3 +93,15 @@ def test_forward_saturated_delannoy_compares_at_zorder_0():
 def test_excess_formula_horizon_follows_zorder(zorder, n_max):
     result = checks.check_excess_formula(zorder)
     assert result.passed and result.detail.endswith(f"n <= {n_max}")
+
+
+@pytest.mark.parametrize("zorder, n_max", [(0, 0), (5, 5), (6, 6), (7, 7), (12, 7)])
+def test_prefix_refined_horizon_follows_zorder(zorder, n_max):
+    result = checks.check_prefix_refined(zorder)
+    assert result.passed and result.detail.endswith(f"n <= {n_max}")
+
+
+@pytest.mark.parametrize("zorder, n_max", [(0, 1), (5, 5), (6, 6), (7, 7), (12, 7)])
+def test_forward_saturated_horizon_follows_zorder(zorder, n_max):
+    result = checks.check_forward_saturated_delannoy(zorder)
+    assert result.passed and result.detail.endswith(f"n <= {n_max}")

@@ -1,10 +1,11 @@
 """The mask-based tallies behind ``series check`` against face-by-face oracles.
 
-``checks.node_enriched_counts`` ORs per-arrow node bits over the clique
-walk of the adjacency masks; the oracle here walks ``Face`` objects from
-``enumerate_faces`` and builds the node sets as Python sets.  The excess
-degrees of ``complexes._excess_degrees`` are popcounts of the masks; their
-oracle is the pairwise count ``excess_degree``.
+``checks.node_enriched_counts``, ``checks.prefix_refined_counts`` and
+``checks.forward_saturated_groups`` reduce one end tally of the clique DFS
+on the adjacency masks (``complexes._end_tally``); the oracles here walk
+``Face`` objects from ``enumerate_faces`` and build the node sets as Python
+sets.  The excess degrees of ``complexes._excess_degrees`` are popcounts of
+the masks; their oracle is the pairwise count ``excess_degree``.
 """
 
 from fractions import Fraction
@@ -13,8 +14,13 @@ from math import factorial
 
 import pytest
 
-from rootflags import complexes
-from rootflags.checks import node_enriched_counts
+from rootflags import checks, complexes
+from rootflags.checks import (
+    forward_saturated_groups,
+    node_enriched_counts,
+    prefix_refined_counts,
+    run_checks,
+)
 from rootflags.complexes import _excess_degrees, enumerate_faces, excess_degree
 from rootflags.rules import ALIASES, RuleSet, arrows_of
 
@@ -70,3 +76,70 @@ def test_mask_excess_degrees_are_the_pairwise_count(monkeypatch):
         for n in range(7):
             want = [excess_degree(rs, n, arrow) for arrow in arrows_of(n)]
             assert _excess_degrees(code, n) == want, (code, n)
+
+
+def prefix_refined_walk(rs: RuleSet, n_max: int) -> tuple[dict, dict]:
+    """Backward-only faces of V_n, n <= n_max, by (i, backward, n) where the
+    first i nodes of the face are heads; and the nonempty saturated ones."""
+    brute: dict[tuple[int, int, int], int] = {}
+    brute_sat: dict[tuple[int, int, int], int] = {}
+    for n in range(n_max + 1):
+        for face in enumerate_faces(rs, n):
+            if face.forward:
+                continue
+            if not face.arrows:
+                i = 0
+            else:
+                nodes = face.nodes
+                heads = {a.head for a in face.arrows}
+                i = 0
+                while i < len(nodes) and nodes[i] in heads:
+                    i += 1
+            key = (i, face.backward, n)
+            brute[key] = brute.get(key, 0) + 1
+            if face.saturated and face.arrows:
+                brute_sat[key] = brute_sat.get(key, 0) + 1
+    return brute, brute_sat
+
+
+def forward_saturated_walk(rs: RuleSet, n_max: int) -> dict[int, dict]:
+    """Per n in 1..n_max, the nonempty forward-only saturated faces of V_n by
+    (distinct tails - 1, distinct heads - 1, arrows)."""
+    groups = {}
+    for n in range(1, n_max + 1):
+        buckets: dict[tuple[int, int, int], int] = {}
+        for face in enumerate_faces(rs, n):
+            if face.backward or not face.saturated or not face.arrows:
+                continue
+            tails = len({a.tail for a in face.arrows})
+            heads = len({a.head for a in face.arrows})
+            key = (tails - 1, heads - 1, len(face.arrows))
+            buckets[key] = buckets.get(key, 0) + 1
+        groups[n] = buckets
+    return groups
+
+
+@pytest.mark.parametrize("code", range(64))
+def test_end_tally_reductions_match_face_walks(code):
+    rs = RuleSet.from_code(code)
+    walked, walked_sat = prefix_refined_walk(rs, 5)
+    groups = forward_saturated_walk(rs, 5)
+    for n_max in range(6):
+        counts, saturated = prefix_refined_counts(rs, n_max)
+        assert counts == {k: c for k, c in walked.items() if k[2] <= n_max}, n_max
+        assert saturated == {k: c for k, c in walked_sat.items() if k[2] <= n_max}, n_max
+        assert forward_saturated_groups(rs, n_max) == {
+            n: g for n, g in groups.items() if n <= n_max
+        }, n_max
+
+
+def test_series_checks_walk_no_faces(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series check walked the faces")
+
+    for name in ("enumerate_faces", "_iter_cliques"):
+        monkeypatch.setattr(complexes, name, refuse)
+        monkeypatch.setattr(checks, name, refuse, raising=False)
+    results = run_checks(zorder=5)
+    assert len(results) == 20
+    assert all(r.passed for r in results), [r for r in results if not r.passed]

@@ -10,6 +10,7 @@ from rootflags.rules import (
     NONEST,
     RuleSet,
     TABLE_ROW_ORDER,
+    TYPE_WORDS,
     alias_of,
     all_rulesets,
     arrows_of,
@@ -126,6 +127,17 @@ def test_code_and_letters_roundtrip():
         assert RuleSet.parse(rs.verbose()) == rs
     assert RuleSet.parse("0b111100").code == 0b111100
     assert RuleSet.parse(0b111100) == RuleSet.parse("0b111100")
+
+
+def test_code_is_computed_once_per_instance():
+    for code in range(64):
+        assert RuleSet.from_code(code).code == code
+        # a fresh instance equal to the shared one keeps its code in the
+        # instance after the first read, outside equality and hashing
+        fresh = RuleSet(**{word.lower(): RuleSet.from_code(code).choice(word) for word in TYPE_WORDS})
+        assert "code" not in vars(fresh)
+        assert fresh.code == code and vars(fresh)["code"] == code
+        assert fresh == RuleSet.from_code(code) and hash(fresh) == hash(RuleSet.from_code(code))
 
 
 def test_parse_aliases_and_errors():

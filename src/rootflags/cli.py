@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import cache
 from typing import Sequence
 
 from . import checks as checks_mod
@@ -67,11 +68,23 @@ def _parse_ruleset(text: str) -> RuleSet:
         raise UsageError(f"cannot parse rule code {text!r}: {exc}") from None
 
 
+#: Largest order or index that ``series dump`` and ``series check`` accept
+#: without ``--force``.  At the cap every dump and ``series check`` finish in
+#: seconds; the cost of most families grows steeply beyond it.
+SERIES_ORDER_CAP = 16
+
+
 def _check_orders(args: argparse.Namespace, *flags: str) -> None:
     for flag in flags:
         value = getattr(args, flag)
-        if value < 0:
+        # an index's lower bound is the family's own
+        if value < 0 and flag != "index":
             raise UsageError(f"--{flag} must be >= 0, got {value}")
+        if value > SERIES_ORDER_CAP and not args.force:
+            raise UsageError(
+                f"--{flag} {value} exceeds the series order cap {SERIES_ORDER_CAP}; "
+                "pass --force to lift it"
+            )
 
 
 def _code_info(rs: RuleSet) -> dict:
@@ -371,7 +384,7 @@ def cmd_series_dump(args: argparse.Namespace) -> int:
     builder = _DUMPABLE.get(args.which)
     if builder is None:
         raise UsageError(f"unknown series {args.which!r}; known: {sorted(_DUMPABLE)}")
-    _check_orders(args, "zorder", "xyorder", "uvorder")
+    _check_orders(args, "zorder", "xyorder", "uvorder", "index")
     series: Series = builder(args)
     writer = csv.writer(sys.stdout)
     writer.writerow(list(series.ring.variables) + ["numerator", "denominator"])
@@ -400,7 +413,10 @@ def cmd_series_check(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="rootflags",
         description=(
@@ -469,12 +485,14 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--xyorder", type=int, default=8)
     d.add_argument("--uvorder", type=int, default=6)
     d.add_argument("--index", type=int, default=1, help="i or k for the indexed families")
+    d.add_argument("--force", action="store_true", help="override the series order cap")
     d.set_defaults(func=cmd_series_dump)
 
     def add_series_check(p: argparse.ArgumentParser) -> None:
         p.add_argument("--names", nargs="*", help="subset of checks to run")
         p.add_argument("--all", action="store_true", help="run every check (default)")
         p.add_argument("--zorder", type=int, default=5)
+        p.add_argument("--force", action="store_true", help="override the series order cap")
         add_format(p)
         p.set_defaults(func=cmd_series_check)
 

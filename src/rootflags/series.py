@@ -1,12 +1,12 @@
 """Exact truncated multivariate power series and the closed-form evaluators.
 
-Coefficients are exact rationals (stdlib Fraction over arbitrary-precision
-integers); there is no floating point anywhere in this module.  Series are
-sparse dictionaries from exponent vectors to coefficients, truncated per
-variable.  Division is only by units (nonzero constant term) or by pure
-monomials that divide every term, and square roots are never taken: every
-closed form involving the Catalan generating function is evaluated through
-its quadratic fixed point.
+Coefficients are exact rationals; there is no floating point anywhere in
+this module.  A series is stored as integer numerators over one common
+denominator, keyed by exponent vectors packed into single ints, and
+truncated per variable.  Division is only by units (nonzero constant term)
+or by pure monomials that divide every term, and square roots are never
+taken: every closed form involving the Catalan generating function is
+evaluated through its quadratic fixed point.
 
 Conventions for the formal variables: x marks forward arrows, y backward
 arrows, t the ambient size for all-face counts, z the ambient size for
@@ -16,10 +16,12 @@ saturated-face counts, u and v mark left/right node groups.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial, lcm
+from functools import cached_property, lru_cache
+from math import comb, factorial, gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -40,10 +42,9 @@ class SeriesRing:
         if any(o < 0 for o in self.orders):
             raise ValueError("orders must be nonnegative")
 
-    @classmethod
-    def make(cls, spec: Mapping[str, int] | Iterable[tuple[str, int]]) -> "SeriesRing":
-        pairs = list(spec.items()) if isinstance(spec, Mapping) else list(spec)
-        return cls(tuple(name for name, _ in pairs), tuple(order for _, order in pairs))
+    @cached_property
+    def packing(self) -> "_Packing":
+        return _Packing(self.orders)
 
     def index(self, name: str) -> int:
         try:
@@ -58,16 +59,13 @@ class SeriesRing:
         return all(0 <= e <= o for e, o in zip(exps, self.orders))
 
     def zero(self) -> "Series":
-        return Series(self, {})
+        return Series._of(self, 1, {})
 
     def one(self) -> "Series":
         return self.const(1)
 
     def const(self, value) -> "Series":
-        value = Fraction(value)
-        if not value:
-            return self.zero()
-        return Series(self, {(0,) * len(self.variables): value})
+        return self.monomial({}, value)
 
     def var(self, name: str, power: int = 1) -> "Series":
         return self.monomial({name: power})
@@ -76,22 +74,21 @@ class SeriesRing:
         vec = [0] * len(self.variables)
         for name, e in exps.items():
             vec[self.index(name)] = e
-        key = tuple(vec)
-        if not self.within(key) or not Fraction(coeff):
+        coeff = Fraction(coeff)
+        if not coeff or not self.within(vec):
             return self.zero()
-        return Series(self, {key: Fraction(coeff)})
+        return Series._of(self, coeff.denominator, {self.packing.pack(vec): coeff.numerator})
 
-    def from_terms(self, terms: Iterable[tuple[Exponents, Fraction]]) -> "Series":
-        coeffs: dict[Exponents, Fraction] = {}
-        for exps, c in terms:
-            if not self.within(exps):
-                continue
-            total = coeffs.get(exps, Fraction(0)) + Fraction(c)
-            if total:
-                coeffs[exps] = total
-            else:
-                coeffs.pop(exps, None)
-        return Series(self, coeffs)
+    def from_terms(self, terms: Iterable[tuple[Exponents, Fraction | int]]) -> "Series":
+        """The sum of the terms (exponents, coefficient) that lie within the
+        orders; the others are dropped."""
+        pack, within = self.packing.pack, self.within
+        kept = [(pack(exps), c) for exps, c in terms if within(exps)]
+        den = lcm(*(c.denominator for _, c in kept))
+        acc: dict[int, int] = {}
+        for key, c in kept:
+            acc[key] = acc.get(key, 0) + c.numerator * (den // c.denominator)
+        return Series._of(self, den, {k: n for k, n in acc.items() if n})
 
     def total_budget(self) -> int:
         return sum(self.orders)
@@ -102,16 +99,17 @@ class _Packing:
 
     Variable i gets a slot of ``orders[i].bit_length() + 1`` bits, wide
     enough for the sum of two exponents up to its order, and one guard bit
-    above the slot.  Packing relies on the ``Series`` invariant that every
-    stored exponent lies within the ring's orders (the ring's constructors
-    and every operation drop the terms outside them): then two packed keys
-    add slot by slot without a carry, and ``top - key`` borrows a slot's
-    guard bit exactly when that slot exceeds its order, so
-    ``(top - key) & guards == guards`` is the truncation test for all
-    variables at once.
+    above the slot; the last variable gets the top slot.  Every stored
+    exponent lies within the ring's orders (the ring's constructors and
+    every operation drop the terms outside them), so two packed keys add
+    slot by slot without a carry, and ``top - key`` borrows a slot's guard
+    bit exactly when that slot exceeds its order: ``(top - key) & guards ==
+    guards`` is the truncation test for all variables at once.  Keys sort by
+    the last variable's exponent first, and every key with that exponent at
+    most e lies below ``(e + 1) << top_shift``.
     """
 
-    __slots__ = ("slots", "top", "guards")
+    __slots__ = ("slots", "top", "guards", "top_shift", "top_limit")
 
     def __init__(self, orders: tuple[int, ...]):
         slots = []
@@ -122,67 +120,86 @@ class _Packing:
             top |= o << shift
             guards |= 1 << (shift + width)
             shift += width + 1
-        self.slots = tuple(slots)
-        self.top = top | guards
-        self.guards = guards
+        self.slots, self.top, self.guards = tuple(slots), top | guards, guards
+        # a ring without variables has the single key 0 below top_limit 1
+        self.top_shift = slots[-1][0] if slots else 0
+        self.top_limit = ((orders[-1] if orders else 0) + 1) << self.top_shift
 
-    def numerators(self, coeffs: Mapping[Exponents, Fraction]) -> tuple[int, list[tuple[int, int]]]:
-        """The common denominator and the (packed key, numerator) terms."""
-        d = lcm(*(c.denominator for c in coeffs.values()))
-        slots = self.slots
-        return d, [
-            (sum(e << s for e, (s, _) in zip(exps, slots)), c.numerator * (d // c.denominator))
-            for exps, c in coeffs.items()
-        ]
+    def pack(self, exps: Exponents) -> int:
+        return sum(e << s for e, (s, _) in zip(exps, self.slots))
 
     def unpack(self, key: int) -> Exponents:
         return tuple((key >> s) & mask for s, mask in self.slots)
 
 
-@lru_cache(maxsize=256)
-def _packing(orders: tuple[int, ...]) -> _Packing:
-    return _Packing(orders)
-
-
 class Series:
-    """A truncated power series with exact rational coefficients."""
+    """A truncated power series with exact rational coefficients.
 
-    __slots__ = ("ring", "coeffs")
+    ``terms`` maps packed exponent keys (see ``_Packing``) to integer
+    numerators over the common denominator ``den``.  The form is canonical:
+    ``den > 0``, no numerator is zero, ``gcd(den, *numerators) == 1``, and
+    the zero series has ``den == 1``; so equal series have equal fields.
+    ``coeffs`` is the read-only tuple -> ``Fraction`` view of the same
+    coefficients, built on first use.  ``Series(ring, coeffs)`` builds a
+    series from such a dict.
+    """
 
-    def __init__(self, ring: SeriesRing, coeffs: dict[Exponents, Fraction]):
-        self.ring = ring
-        self.coeffs = coeffs
+    __slots__ = ("ring", "den", "terms", "_coeffs")
+
+    def __init__(self, ring: SeriesRing, coeffs: Mapping[Exponents, Fraction]):
+        if not all(len(e) == len(ring.orders) and ring.within(e) for e in coeffs):
+            raise ValueError(f"exponents outside the orders {ring.orders}: {sorted(coeffs)[:8]}")
+        made = ring.from_terms(coeffs.items())
+        self.ring, self.den, self.terms, self._coeffs = ring, made.den, made.terms, None
+
+    @classmethod
+    def _of(cls, ring: SeriesRing, den: int, terms: dict[int, int]) -> "Series":
+        """The series with nonzero numerators ``terms`` over ``den`` > 0,
+        brought to lowest terms."""
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {k: n // g for k, n in terms.items()}
+        self = object.__new__(cls)
+        self.ring, self.den, self.terms, self._coeffs = ring, den, terms, None
+        return self
 
     # -- basic protocol ----------------------------------------------------
+
+    @property
+    def coeffs(self) -> Mapping[Exponents, Fraction]:
+        if self._coeffs is None:
+            unpack, den = self.ring.packing.unpack, self.den
+            view = {unpack(k): Fraction(n, den) for k, n in self.terms.items()}
+            self._coeffs = MappingProxyType(view)
+        return self._coeffs
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         if not isinstance(other, Series):
             return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
+        return self.ring == other.ring and self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.coeffs.items()))))
+        return hash((self.ring, self.den, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.terms)
 
     def items(self) -> list[tuple[Exponents, Fraction]]:
         return sorted(self.coeffs.items())
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         pieces = []
         for exps, c in self.items()[:12]:
-            mono = "*".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in zip(self.ring.variables, exps)
-                if e
-            )
+            named = zip(self.ring.variables, exps)
+            mono = "*".join(f"{v}^{e}" if e > 1 else v for v, e in named if e)
             pieces.append(f"{c}" + (f"*{mono}" if mono else ""))
-        tail = " + ..." if len(self.coeffs) > 12 else ""
+        tail = " + ..." if len(self.terms) > 12 else ""
         return " + ".join(pieces) + tail
 
     # -- arithmetic --------------------------------------------------------
@@ -192,71 +209,67 @@ class Series:
             if other.ring != self.ring:
                 raise ValueError("series from different rings")
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.const(other)
-        return None
+        return self.ring.const(other) if isinstance(other, (int, Fraction)) else None
 
-    def __add__(self, other) -> "Series":
+    def _plus(self, other, sign: int) -> "Series":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        coeffs = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            total = coeffs.get(exps, Fraction(0)) + c
+        den = lcm(self.den, other.den)
+        scale, other_scale = den // self.den, sign * (den // other.den)
+        terms = {k: n * scale for k, n in self.terms.items()} if scale != 1 else dict(self.terms)
+        for k, n in other.terms.items():
+            total = terms.get(k, 0) + n * other_scale
             if total:
-                coeffs[exps] = total
+                terms[k] = total
             else:
-                coeffs.pop(exps, None)
-        return Series(self.ring, coeffs)
+                del terms[k]
+        return Series._of(self.ring, den, terms)
+
+    def __add__(self, other) -> "Series":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Series":
-        return Series(self.ring, {e: -c for e, c in self.coeffs.items()})
-
     def __sub__(self, other) -> "Series":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "Series":
+        return Series._of(self.ring, self.den, {k: -n for k, n in self.terms.items()})
 
     def __rsub__(self, other) -> "Series":
         return -(self - other)
 
     def __mul__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
-            factor = Fraction(other)
-            if not factor:
-                return self.ring.zero()
-            return Series(self.ring, {e: c * factor for e, c in self.coeffs.items()})
+            num = other.numerator
+            terms = {k: n * num for k, n in self.terms.items()} if num else {}
+            return Series._of(self.ring, self.den * other.denominator, terms)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        packing = _packing(self.ring.orders)
-        d1, left = packing.numerators(self.coeffs)
-        d2, right = packing.numerators(other.coeffs)
+        packing = self.ring.packing
         top, guards = packing.top, packing.guards
+        shift, limit = packing.top_shift, packing.top_limit
+        right = sorted(other.terms.items())
+        keys = [k for k, _ in right]
         acc: dict[int, int] = {}
         get = acc.get
-        for k1, n1 in left:
-            for k2, n2 in right:
+        for k1, n1 in self.terms.items():
+            # the partners whose last exponent still fits form a prefix
+            stop = bisect_left(keys, limit - (k1 >> shift << shift))
+            for k2, n2 in right[:stop]:
                 key = k1 + k2
                 if (top - key) & guards == guards:
                     acc[key] = get(key, 0) + n1 * n2
-        d = d1 * d2
-        unpack = packing.unpack
-        return Series(
-            self.ring, {unpack(key): Fraction(v, d) for key, v in acc.items() if v}
-        )
+        return Series._of(self.ring, self.den * other.den, {k: n for k, n in acc.items() if n})
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Series":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = self.ring.one()
-        base = self
-        e = exponent
+        result, base, e = self.ring.one(), self, exponent
         while e:
             if e & 1:
                 result = result * base
@@ -265,12 +278,11 @@ class Series:
         return result
 
     def constant_term(self) -> Fraction:
-        return self.coeffs.get((0,) * len(self.ring.variables), Fraction(0))
+        return Fraction(self.terms.get(0, 0), self.den)
 
     def min_total_degree(self) -> int:
-        if not self.coeffs:
-            return 0
-        return min(sum(e) for e in self.coeffs)
+        unpack = self.ring.packing.unpack
+        return min((sum(unpack(k)) for k in self.terms), default=0)
 
     def inverse(self) -> "Series":
         """Multiplicative inverse of a unit (nonzero constant term)."""
@@ -283,8 +295,7 @@ class Series:
         step = tail.min_total_degree()
         if step == 0:
             raise AssertionError("tail of a unit must have positive degree")
-        result = self.ring.one()
-        power = self.ring.one()
+        result = power = self.ring.one()
         for _ in range(self.ring.total_budget() // step + 1):
             power = power * (-tail)
             if not power:
@@ -316,31 +327,32 @@ class Series:
 
     def slice(self, **fixed: int) -> "Series":
         """Terms with the given exponents for some variables, divided out."""
-        idx = {self.ring.index(name): e for name, e in fixed.items()}
-        out: dict[Exponents, Fraction] = {}
-        for exps, c in self.coeffs.items():
-            if all(exps[i] == e for i, e in idx.items()):
-                key = tuple(
-                    0 if i in idx else e for i, e in enumerate(exps)
-                )
-                out[key] = c
-        return Series(self.ring, out)
+        # an exponent outside its slot (negative or too large) sets bits of
+        # want outside clear, so no key matches it
+        slots = self.ring.packing.slots
+        clear = want = 0
+        for name, e in fixed.items():
+            shift, mask = slots[self.ring.index(name)]
+            clear |= mask << shift
+            want |= e << shift
+        return Series._of(
+            self.ring, self.den, {k - want: n for k, n in self.terms.items() if k & clear == want}
+        )
 
     def divide_by_monomial(self, name: str, power: int) -> "Series":
         """Exact division by a variable power; every term must allow it."""
-        i = self.ring.index(name)
-        out = {}
-        for exps, c in self.coeffs.items():
-            if exps[i] < power:
-                raise ValueError(
-                    f"term {exps} not divisible by {name}^{power}"
-                )
-            key = exps[:i] + (exps[i] - power,) + exps[i + 1:]
-            out[key] = c
-        return Series(self.ring, out)
+        if power < 0:
+            raise ValueError(f"power must be nonnegative, got {power}")
+        shift, mask = self.ring.packing.slots[self.ring.index(name)]
+        for k in self.terms:
+            if (k >> shift) & mask < power:
+                exps = self.ring.packing.unpack(k)
+                raise ValueError(f"term {exps} not divisible by {name}^{power}")
+        low = power << shift
+        return Series._of(self.ring, self.den, {k - low: n for k, n in self.terms.items()})
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs.values())
+        return self.den == 1
 
     def assert_integral(self) -> "Series":
         if not self.is_integral():
@@ -349,17 +361,25 @@ class Series:
         return self
 
     def map_ring(self, target: SeriesRing, rename: Mapping[str, str]) -> "Series":
-        """Carry the series into another ring by renaming variables."""
-        positions = []
-        for name in self.ring.variables:
-            positions.append(target.index(rename.get(name, name)))
-        terms = []
-        for exps, c in self.coeffs.items():
-            vec = [0] * len(target.variables)
-            for src, e in enumerate(exps):
-                vec[positions[src]] = e
-            terms.append((tuple(vec), c))
-        return target.from_terms(terms)
+        """Carry the series into another ring by renaming variables; the
+        terms outside the target's orders are dropped."""
+        positions = [target.index(rename.get(name, name)) for name in self.ring.variables]
+        if len(set(positions)) != len(positions):
+            raise ValueError(f"renaming {dict(rename)} merges variables")
+        slots = target.packing.slots
+        moves = [(shift, mask, slots[p][0], target.orders[p])
+                 for (shift, mask), p in zip(self.ring.packing.slots, positions)]
+        terms = {}
+        for k, n in self.terms.items():
+            key = 0
+            for shift, mask, to, order in moves:
+                e = (k >> shift) & mask
+                if e > order:
+                    break
+                key |= e << to
+            else:
+                terms[key] = n
+        return Series._of(target, self.den, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +397,7 @@ def catalan_of(inner: Series) -> Series:
         raise ValueError("inner series must have zero constant term")
     ring = inner.ring
     s = ring.one()
-    guard = ring.total_budget() + 2
-    for _ in range(guard):
+    for _ in range(ring.total_budget() + 2):
         nxt = ring.one() + inner * s * s
         if nxt == s:
             return s
@@ -406,9 +425,7 @@ def delannoy_poly(a: int, b: int) -> tuple[int, ...]:
                 continue
             acc = [0] * (x + y + 1)
             for px, py in ((x - 1, y), (x, y - 1), (x - 1, y - 1)):
-                if px < 0 or py < 0:
-                    continue
-                for j, c in enumerate(table[(px, py)]):
+                for j, c in enumerate(table.get((px, py), ())):  # no paths off the grid
                     acc[j + 1] += c
             table[(x, y)] = acc
     return tuple(table[(a, b)])
@@ -441,36 +458,28 @@ def transfer(series: Series, direction: str, has_empty: bool) -> Series:
         raise ValueError(f"direction must be full_to_all or all_to_full: {direction!r}")
 
     ring = series.ring
-    i = ring.index(src)
-    out_ring = SeriesRing(
-        tuple(dst if v == src else v for v in ring.variables), ring.orders
-    )
+    out_ring = SeriesRing(tuple(dst if v == src else v for v in ring.variables), ring.orders)
     target_order = out_ring.order(dst)
     if target_order > ring.order(src):
         raise ValueError(
             f"cannot produce {dst}-order {target_order} from {src}-order {ring.order(src)}"
         )
 
+    # full_to_all: z -> t/(1-t), prefactor 1/(1-t)^2, correction -t/(1-t)^2;
+    # all_to_full: t -> z/(1+z), prefactor 1/(1+z)^2, correction +z/(1+z)
     w = out_ring.var(dst)
-    if direction == "full_to_all":
-        # z -> t/(1-t), prefactor 1/(1-t)^2, correction -t/(1-t)^2
-        inner = w * (out_ring.one() - w).inverse()
-        prefactor = ((out_ring.one() - w).inverse()) ** 2
-        correction = -w * prefactor
-    else:
-        # t -> z/(1+z), prefactor 1/(1+z)^2, correction +z/(1+z)
-        inner = w * (out_ring.one() + w).inverse()
-        prefactor = ((out_ring.one() + w).inverse()) ** 2
-        correction = w * (out_ring.one() + w).inverse()
+    geom = (out_ring.one() + (-w if direction == "full_to_all" else w)).inverse()
+    inner, prefactor = w * geom, geom ** 2
+    correction = -w * prefactor if direction == "full_to_all" else inner
 
     powers = [out_ring.one()]
     for _ in range(ring.order(src)):
         powers.append(powers[-1] * inner)
 
+    renamed = series.map_ring(out_ring, {src: dst})
     out = out_ring.zero()
-    for exps, c in series.coeffs.items():
-        rest = exps[:i] + (0,) + exps[i + 1:]
-        out = out + out_ring.from_terms([(rest, c)]) * powers[exps[i]]
+    for e, power in enumerate(powers):
+        out = out + renamed.slice(**{dst: e}) * power
     out = out * prefactor
     if has_empty:
         out = out + correction
@@ -610,16 +619,15 @@ def revlex_saturated_series(x_order: int, y_order: int, z_order: int) -> Series:
     """Saturated refined series of the revlex class, as the quadruple sum
     over the endpoint-group sizes of the forward and backward arrows."""
     ring = SeriesRing(("x", "y", "z"), (x_order, y_order, z_order))
-    terms: list[tuple[Exponents, Fraction]] = []
-    terms.append(((0, 0, 0), Fraction(1)))
+    terms: list[tuple[Exponents, int]] = [((0, 0, 0), 1)]
 
     for a in range(z_order):
         for b in range(z_order - a):
             zdeg = a + b + 1
             for j, cnt in enumerate(delannoy_poly(a, b)):
                 if cnt:
-                    terms.append(((j + 1, 0, zdeg), Fraction(cnt)))
-                    terms.append(((0, j + 1, zdeg), Fraction(cnt)))
+                    terms.append(((j + 1, 0, zdeg), cnt))
+                    terms.append(((0, j + 1, zdeg), cnt))
 
     for total in range(z_order - 1):
         for a1 in range(total + 1):
@@ -635,13 +643,9 @@ def revlex_saturated_series(x_order: int, y_order: int, z_order: int) -> Series:
                             if not d2:
                                 continue
                             base = d1 * d2
-                            terms.append(
-                                ((j1 + 1, j2 + 1, zdeg), Fraction(base * c0))
-                            )
+                            terms.append(((j1 + 1, j2 + 1, zdeg), base * c0))
                             if zdeg + 1 <= z_order:
-                                terms.append(
-                                    ((j1 + 1, j2 + 1, zdeg + 1), Fraction(base * cz))
-                                )
+                                terms.append(((j1 + 1, j2 + 1, zdeg + 1), base * cz))
     return ring.from_terms(terms).assert_integral()
 
 
@@ -687,17 +691,14 @@ def psi_closed_form(k: int, order: int) -> Series:
     if k < 1:
         raise ValueError("index must be >= 1")
     ring = SeriesRing(("z",), (order + k,))
-    z = ring.var("z")
     expz = ring.from_terms(((m,), Fraction(1, factorial(m))) for m in range(order + k + 1))
-    poly = ring.zero()
-    for i in range(k):
-        poly = poly + (-1) ** i * Fraction(factorial(k - 1), factorial(k - 1 - i)) * z ** (
-            k - 1 - i
-        )
+    poly = ring.from_terms(
+        ((k - 1 - i,), (-1) ** i * (factorial(k - 1) // factorial(k - 1 - i))) for i in range(k)
+    )
     numerator = poly * expz + ring.const((-1) ** k * factorial(k - 1))
     shifted = numerator.divide_by_monomial("z", k)
     target = SeriesRing(("z",), (order,))
-    return target.from_terms(shifted.coeffs.items())
+    return shifted.map_ring(target, {})
 
 
 def _egf_ring(u_order: int, v_order: int, x_order: int) -> SeriesRing:
@@ -808,8 +809,7 @@ def node_enriched_egf(u_order: int, v_order: int, z_order: int | None = None) ->
     # Assemble in a ring with z-headroom for the two later monomial
     # divisions, then truncate down.
     work = SeriesRing(
-        ("u", "v", "x", "y", "z"),
-        (u_order, v_order, x_order, x_order, z_order + 2),
+        ("u", "v", "x", "y", "z"), (u_order, v_order, x_order, x_order, z_order + 2)
     )
 
     def factor(du: int, dv: int, swap: bool, arrow_var: int) -> Series:
@@ -818,27 +818,25 @@ def node_enriched_egf(u_order: int, v_order: int, z_order: int | None = None) ->
         and arrow_var picks the step-marking variable (2 = x, 3 = y)."""
         first_limit = (v_order if swap else u_order) + du
         second_limit = (u_order if swap else v_order) + dv
+        # every term's factorial denominator divides den: integer numerators
+        den = factorial(first_limit - du) * factorial(second_limit - dv)
         terms = []
         for a in range(first_limit):
             for b in range(second_limit):
-                first_exp = a + 1 - du
-                second_exp = b + 1 - dv
-                denom = factorial(first_exp) * factorial(second_exp)
+                first_exp, second_exp = a + 1 - du, b + 1 - dv
                 zdeg = a + b + 2
                 if zdeg > z_order + 2:
                     continue
+                scale = den // (factorial(first_exp) * factorial(second_exp))
                 for j, c in enumerate(delannoy_poly(a, b)):
                     # a block with a j-step path carries j + 1 arrows
                     if not c or j + 1 > x_order:
                         continue
-                    vec = [0, 0, 0, 0, zdeg]
-                    if swap:
-                        vec[0], vec[1] = second_exp, first_exp
-                    else:
-                        vec[0], vec[1] = first_exp, second_exp
+                    vec = [second_exp, first_exp] if swap else [first_exp, second_exp]
+                    vec += [0, 0, zdeg]
                     vec[arrow_var] = j + 1
-                    terms.append((tuple(vec), Fraction(c, denom)))
-        return work.from_terms(terms)
+                    terms.append((tuple(vec), c * scale))
+        return work.from_terms(terms) * Fraction(1, den)
 
     d_x = factor(0, 0, swap=False, arrow_var=2)  # D~(uz, vz, x)
     d_y = factor(0, 0, swap=True, arrow_var=3)  # D~(vz, uz, y)
@@ -855,11 +853,8 @@ def node_enriched_egf(u_order: int, v_order: int, z_order: int | None = None) ->
         + (du_x * dv_y).divide_by_monomial("z", 2)
         + (dv_x * du_y).divide_by_monomial("z", 2)
     )
-    target = SeriesRing(
-        ("u", "v", "x", "y", "z"),
-        (u_order, v_order, x_order, x_order, z_order),
-    )
-    return target.from_terms(out.coeffs.items())
+    target = SeriesRing(work.variables, (u_order, v_order, x_order, x_order, z_order))
+    return out.map_ring(target, {})
 
 
 # ---------------------------------------------------------------------------
@@ -914,7 +909,12 @@ def catalan_run_identity(k: int, i: int) -> int:
 
 def lex_mixed_forest_poly(k: int, i: int) -> Series:
     """Node-count polynomial of the lex-class forests with i forward and
-    k-i backward arrows and no isolated nodes; independent of i."""
+    k-i backward arrows and no isolated nodes.
+
+    The paper states that this polynomial does not depend on i, so the
+    function returns ``g_k(k)`` for every valid i; it exists to name that
+    statement, which the ``forest-node-polynomials`` check tests against the
+    counted faces for every i."""
     if not 0 <= i <= k:
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
     if k < 1:

@@ -1,40 +1,121 @@
-"""Term-by-term series multiplication, kept as the oracle for the packed
-kernel of ``rootflags.series.Series.__mul__``.
+"""Term-by-term series operations on tuple -> ``Fraction`` dicts, kept as the
+oracle for the packed form of ``rootflags.series.Series``.
 
-Every pair of terms builds its exponent tuple, is dropped when some exponent
-exceeds its order, and is added into the product as a ``Fraction``; a total
-that cancels to zero is removed on the spot.  The library multiplies on
-packed integer keys with integer numerators over one common denominator; the
-products must agree exactly.
+The library stores a series as integer numerators over one common
+denominator, keyed by packed exponent ints, and skips in its product the
+pairs whose last exponent would overflow.  Here every coefficient is a
+``Fraction`` keyed by its exponent tuple: a sum or product builds each
+exponent tuple, drops it when some exponent leaves the orders, and removes a
+total that cancels to zero on the spot.  ``coeffs`` of the library's result
+must equal the oracle's dict exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable, Mapping
 
-from rootflags.series import Exponents, Series
+from rootflags.series import Exponents, Series, SeriesRing
+
+#: The oracle's form of a series; a ``Mapping`` argument is one of these or a
+#: ``Series.coeffs`` view.
+Coeffs = dict[Exponents, Fraction]
+
+
+def _within(orders: tuple[int, ...], exps: Exponents) -> bool:
+    return all(0 <= e <= o for e, o in zip(exps, orders))
+
+
+def _accumulate(out: Coeffs, exps: Exponents, c) -> None:
+    total = out.get(exps, Fraction(0)) + c
+    if total:
+        out[exps] = total
+    else:
+        out.pop(exps, None)
+
+
+def from_terms(ring: SeriesRing, terms: Iterable[tuple[Exponents, Fraction | int]]) -> Coeffs:
+    out: Coeffs = {}
+    for exps, c in terms:
+        if _within(ring.orders, exps):
+            _accumulate(out, exps, Fraction(c))
+    return out
+
+
+def add(a: Mapping, b: Mapping, sign: int = 1) -> Coeffs:
+    out = dict(a)
+    for exps, c in b.items():
+        _accumulate(out, exps, sign * c)
+    return out
+
+
+def scale(a: Mapping, factor) -> Coeffs:
+    factor = Fraction(factor)
+    return {e: c * factor for e, c in a.items()} if factor else {}
+
+
+def mul(ring: SeriesRing, a: Mapping, b: Mapping) -> Coeffs:
+    out: Coeffs = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            if _within(ring.orders, key):
+                _accumulate(out, key, c1 * c2)
+    return out
+
+
+def divide_by_monomial(ring: SeriesRing, a: Mapping, name: str, power: int) -> Coeffs:
+    if power < 0:
+        raise ValueError("negative power")
+    i = ring.index(name)
+    out: Coeffs = {}
+    for exps, c in a.items():
+        if exps[i] < power:
+            raise ValueError(f"term {exps} not divisible by {name}^{power}")
+        out[exps[:i] + (exps[i] - power,) + exps[i + 1:]] = c
+    return out
+
+
+def slice_(ring: SeriesRing, a: Mapping, fixed: Mapping[str, int]) -> Coeffs:
+    idx = {ring.index(name): e for name, e in fixed.items()}
+    return {
+        tuple(0 if i in idx else e for i, e in enumerate(exps)): c
+        for exps, c in a.items()
+        if all(exps[i] == e for i, e in idx.items())
+    }
+
+
+def map_ring(ring: SeriesRing, a: Mapping, target: SeriesRing, rename: Mapping[str, str]) -> Coeffs:
+    positions = [target.index(rename.get(name, name)) for name in ring.variables]
+    terms = []
+    for exps, c in a.items():
+        vec = [0] * len(target.variables)
+        for p, e in zip(positions, exps):
+            vec[p] = e
+        terms.append((tuple(vec), c))
+    return from_terms(target, terms)
+
+
+def inverse(ring: SeriesRing, a: Mapping) -> Coeffs:
+    """The inverse of a unit as the fixed point g = (1 - (a - c0) g) / c0,
+    which gains at least one total degree per round."""
+    zero = (0,) * len(ring.orders)
+    c0 = a.get(zero, Fraction(0))
+    if not c0:
+        raise ZeroDivisionError("not a unit")
+    one = {zero: Fraction(1)}
+    tail = add(a, {zero: c0}, -1)
+    g = scale(one, 1 / c0)
+    for _ in range(sum(ring.orders) + 1):
+        g = scale(add(one, mul(ring, tail, g), -1), 1 / c0)
+    return g
 
 
 def brute_mul(self: Series, other) -> Series:
     """``Series.__mul__`` as a double loop over tuple keys and Fractions."""
     if isinstance(other, (int, Fraction)):
-        factor = Fraction(other)
-        if not factor:
-            return self.ring.zero()
-        return Series(self.ring, {e: c * factor for e, c in self.coeffs.items()})
+        return Series(self.ring, scale(self.coeffs, other))
     other = self._coerce(other)
     if other is None:
         return NotImplemented
-    orders = self.ring.orders
-    out: dict[Exponents, Fraction] = {}
-    for e1, c1 in self.coeffs.items():
-        for e2, c2 in other.coeffs.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            if any(k > o for k, o in zip(key, orders)):
-                continue
-            total = out.get(key, Fraction(0)) + c1 * c2
-            if total:
-                out[key] = total
-            else:
-                del out[key]
-    return Series(self.ring, out)
+    return Series(self.ring, mul(self.ring, self.coeffs, other.coeffs))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rootflags.cli import main
+from rootflags.cli import SERIES_ORDER_CAP, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -268,3 +268,51 @@ def test_series_dump_rejects_negative_orders(capsys):
         assert code == 2
         assert out == ""
         assert f"error: {flag} must be >= 0, got -1" in err
+
+
+def test_parser_is_built_once_and_calls_do_not_share_arguments(capsys):
+    assert build_parser() is build_parser()
+    # facets sets --refined on its own namespace; a later faces call must not see it
+    code, _, _ = run_cli(capsys, "facets", "--code", "LEX_NN", "--n", "3", "--format", "json")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "faces", "--code", "LEX_NN", "--n", "3", "--format", "json")
+    assert code == 0
+    assert "by_dimension" in json.loads(out)
+
+
+@pytest.mark.parametrize("flag", ["--zorder", "--xyorder", "--uvorder", "--index"])
+@pytest.mark.parametrize("value", [SERIES_ORDER_CAP + 1, 100000])
+def test_series_dump_rejects_orders_above_the_cap(capsys, flag, value):
+    code, out, err = run_cli(capsys, "series", "dump", "--which", "catalan", flag, str(value))
+    assert code == 2
+    assert out == ""
+    assert (
+        f"error: {flag} {value} exceeds the series order cap {SERIES_ORDER_CAP}; "
+        "pass --force to lift it"
+    ) in err
+
+
+@pytest.mark.parametrize("argv", [("series", "check"), ("series-check",)])
+@pytest.mark.parametrize("value", [SERIES_ORDER_CAP + 1, 100000])
+def test_series_check_rejects_orders_above_the_cap(capsys, argv, value):
+    code, out, err = run_cli(capsys, *argv, "--zorder", str(value))
+    assert code == 2
+    assert out == ""
+    assert f"error: --zorder {value} exceeds the series order cap {SERIES_ORDER_CAP}" in err
+
+
+def test_series_order_cap_is_inclusive_and_force_lifts_it(capsys):
+    at_cap = str(SERIES_ORDER_CAP)
+    above = str(SERIES_ORDER_CAP + 1)
+    code, out, _ = run_cli(capsys, "series", "dump", "--which", "catalan", "--zorder", at_cap)
+    assert code == 0 and len(out.splitlines()) == SERIES_ORDER_CAP + 2
+    code, out, _ = run_cli(
+        capsys, "series", "dump", "--which", "catalan", "--zorder", above, "--force"
+    )
+    assert code == 0 and len(out.splitlines()) == SERIES_ORDER_CAP + 3
+    code, out, _ = run_cli(
+        capsys, "series", "check", "--names", "catalan-quadratic", "--zorder", above,
+        "--force", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["zorder"] == SERIES_ORDER_CAP + 1

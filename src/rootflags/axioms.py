@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .complexes import _adjacency, _node_masks, adjacency, check_ambient_size
-from .matchings import th_word
-from .rules import Arrow, RuleSet, arrows_of, parse_nodes
+from .complexes import _adjacency, _node_masks, _pair_classes, adjacency, check_ambient_size
+from .matchings import THWord, _trace, th_word
+from .rules import Arrow, RuleSet
 
 Matching = frozenset[Arrow]
 BipartiteEdge = tuple[int, int]
@@ -86,12 +86,31 @@ def _index_table(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=16)
-def _touch_masks(n: int) -> tuple[int, ...]:
-    """Per arrow of V_n, the mask of the arrows that share a node with it."""
-    leaving, entering = _node_masks(n)
-    return tuple(
-        leaving[t] | entering[t] | leaving[h] | entering[h] for t, h in arrows_of(n)
+def _walk_tables(
+    n: int,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The tables of the support walk on V_n: per node, the masks of the
+    arrows leaving and entering it; per arrow, its 0-based (tail, head)
+    positions and the mask of the arrows that share neither its tail nor
+    its head.  ANDed with the arrow's neighbours, that last mask leaves the
+    neighbours that share no node with it."""
+    arrows, shared, _ = _pair_classes(n)
+    full = (1 << len(arrows)) - 1
+    return (
+        *_node_masks(n),
+        tuple((t - 1, h - 1) for t, h in arrows),
+        tuple(full ^ mask for mask in shared),
     )
+
+
+def _word_support(rs: RuleSet, word: THWord) -> list[Matching]:
+    """``all_support_matchings`` of the I and J that trace the word."""
+    nodes = word.positions
+    n = max(len(nodes) - 1, 0)
+    return [
+        frozenset(Arrow(nodes[t], nodes[h]) for t, h in matching)
+        for matching in _word_matchings(n, adjacency(rs, n)[1], word.letters)
+    ]
 
 
 def all_support_matchings(
@@ -103,13 +122,7 @@ def all_support_matchings(
     By uniformity they are the matchings of the T/H word that I and J trace,
     solved on nodes 1..|I|+|J| and relabeled onto I and J.
     """
-    word = th_word(tails, heads)
-    nodes = word.positions
-    n = max(len(nodes) - 1, 0)
-    return [
-        frozenset(Arrow(nodes[t], nodes[h]) for t, h in matching)
-        for matching in _word_matchings(n, adjacency(rs, n)[1], word.word)
-    ]
+    return _word_support(rs, th_word(tails, heads))
 
 
 def support_matching(
@@ -117,9 +130,15 @@ def support_matching(
 ) -> Matching:
     """The unique matching face from I onto J; raises MultiplicityError
     carrying all matchings found when the count differs from one."""
-    found = all_support_matchings(rs, tails, heads)
+    word = th_word(tails, heads)
+    found = _word_support(rs, word)
     if len(found) != 1:
-        raise MultiplicityError(parse_nodes(tails), parse_nodes(heads), found)
+        annotated = word.annotated()
+        raise MultiplicityError(
+            [x for x, letter in annotated if letter == "T"],
+            [x for x, letter in annotated if letter == "H"],
+            found,
+        )
     return found[0]
 
 
@@ -141,34 +160,44 @@ def _words(k: int) -> Iterator[str]:
 
 
 def _word_matchings(
-    n: int, masks: Sequence[int], word: str
+    n: int, masks: Sequence[int], word: Sequence[str]
 ) -> list[tuple[tuple[int, int], ...]]:
     """Matchings of a T/H word's tail positions onto its head positions whose
     arrows are pairwise edges, with the word placed on nodes 1..len(word).
 
     Each matching is a tuple of 0-based (tail, head) positions in tail order;
     the list is in the order of ``all_support_matchings``: tails in order,
-    each trying the free heads in increasing order.
+    each trying the free heads in increasing order.  A tail's candidates
+    are the set bits of its row (its arrows into the word's heads) that are
+    neighbours of every arrow chosen so far and share no node with one;
+    for a fixed tail the arrow index grows with the head.
     """
-    index = _index_table(n)
-    tails = [p for p, letter in enumerate(word) if letter == "T"]
-    heads = [p for p, letter in enumerate(word) if letter == "H"]
+    leaving, entering, positions, apart = _walk_tables(n)
+    heads = 0
+    rows = []
+    for p, letter in enumerate(word, 1):
+        if letter == "T":
+            rows.append(leaving[p])
+        else:
+            heads |= entering[p]
+    rows = [row & heads for row in rows]
     found: list[tuple[tuple[int, int], ...]] = []
     chosen: list[tuple[int, int]] = []
 
-    def assign(k: int, free: int, cand: int) -> None:
-        if k == len(tails):
+    def assign(k: int, cand: int) -> None:
+        if k == len(rows):
             found.append(tuple(chosen))
             return
-        t = tails[k]
-        for h in heads:
-            v = index[t + 1][h + 1]
-            if free >> h & 1 and cand >> v & 1:
-                chosen.append((t, h))
-                assign(k + 1, free & ~(1 << h), cand & masks[v])
-                chosen.pop()
+        step = cand & rows[k]
+        while step:
+            low = step & -step
+            v = low.bit_length() - 1
+            step ^= low
+            chosen.append(positions[v])
+            assign(k + 1, cand & masks[v] & apart[v])
+            chosen.pop()
 
-    assign(0, -1, -1)
+    assign(0, -1)
     return found
 
 
@@ -218,7 +247,7 @@ def _matching_cliques(n: int, masks: Sequence[int]) -> Iterator[tuple[int, ...]]
     """Arrow indices of the nonempty matching faces, in the lexicographic
     order of ``enumerate_faces``: its DFS with the candidates cut down to
     the arrows that touch no node of the face so far."""
-    touch = _touch_masks(n)
+    apart = _walk_tables(n)[3]
     prefix: list[int] = []
 
     def rec(cand: int) -> Iterator[tuple[int, ...]]:
@@ -228,7 +257,7 @@ def _matching_cliques(n: int, masks: Sequence[int]) -> Iterator[tuple[int, ...]]
             cand ^= low
             prefix.append(v)
             yield tuple(prefix)
-            yield from rec(cand & masks[v] & ~touch[v])
+            yield from rec(cand & masks[v] & apart[v])
             prefix.pop()
 
     yield from rec((1 << len(masks)) - 1)
@@ -756,13 +785,7 @@ def restriction_ensemble(
 ) -> BipartiteEnsemble:
     """Matchings of the complex inside I x J, relabeled to K_{|I|,|J|}
     (sorted I maps to the left part, sorted J to the right part)."""
-    tails = parse_nodes(tails)
-    heads = parse_nodes(heads)
-    if set(tails) & set(heads):
-        raise ValueError("tail and head sets must be disjoint")
-    tail_set = set(tails)
-    pattern = tuple(
-        "T" if node in tail_set else "H" for node in sorted(tails + heads)
-    )
-    family = _restriction_by_pattern(rs.code, pattern)
-    return BipartiteEnsemble(len(tails), len(heads), _edge_family(len(heads), family))
+    pattern = _trace(tails, heads)[1]
+    a = pattern.count("T")
+    b = len(pattern) - a
+    return BipartiteEnsemble(a, b, _edge_family(b, _restriction_by_pattern(rs.code, pattern)))

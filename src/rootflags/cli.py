@@ -73,6 +73,20 @@ def _parse_ruleset(text: str) -> RuleSet:
 #: seconds; the cost of most families grows steeply beyond it.
 SERIES_ORDER_CAP = 16
 
+#: Largest ``--n`` that ``excess`` accepts without ``--force``; the closed
+#: form costs O(n^2) per code, and ``--all-orbits`` takes about a second at
+#: the cap.
+EXCESS_N_CAP = 100
+
+#: Largest |I| that ``match`` accepts without ``--force``; the support
+#: search grows about 4x for every 2 added to |I|.
+MATCH_SIZE_CAP = 16
+
+
+def _check_cap(args: argparse.Namespace, name: str, value: int, cap: int, what: str) -> None:
+    if value > cap and not args.force:
+        raise UsageError(f"{name} {value} exceeds the {what} {cap}; pass --force to lift it")
+
 
 def _check_orders(args: argparse.Namespace, *flags: str) -> None:
     for flag in flags:
@@ -80,11 +94,7 @@ def _check_orders(args: argparse.Namespace, *flags: str) -> None:
         # an index's lower bound is the family's own
         if value < 0 and flag != "index":
             raise UsageError(f"--{flag} must be >= 0, got {value}")
-        if value > SERIES_ORDER_CAP and not args.force:
-            raise UsageError(
-                f"--{flag} {value} exceeds the series order cap {SERIES_ORDER_CAP}; "
-                "pass --force to lift it"
-            )
+        _check_cap(args, f"--{flag}", value, SERIES_ORDER_CAP, "series order cap")
 
 
 def _code_info(rs: RuleSet) -> dict:
@@ -282,6 +292,7 @@ def cmd_facets(args: argparse.Namespace) -> int:
 
 
 def cmd_excess(args: argparse.Namespace) -> int:
+    _check_cap(args, "--n", args.n, EXCESS_N_CAP, "excess size cap")
     if args.all_orbits:
         rows = []
         for name in TABLE_ROW_ORDER:
@@ -326,6 +337,7 @@ def cmd_match(args: argparse.Namespace) -> int:
     rs = _parse_ruleset(args.rules)
     tails = [int(x) for x in args.tails.replace(",", " ").split()]
     heads = [int(x) for x in args.heads.replace(",", " ").split()]
+    _check_cap(args, "|I| =", len(tails), MATCH_SIZE_CAP, "match size cap")
     valid = classify(rs).value != "invalid"
     try:
         brute = support_matching(rs, tails, heads)
@@ -466,6 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--all-orbits", action="store_true", help="signatures of the 15 orbit representatives")
+    p.add_argument("--force", action="store_true", help="override the excess size cap")
     add_format(p)
     p.set_defaults(func=cmd_excess)
 
@@ -473,6 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", required=True)
     p.add_argument("--tails", required=True)
     p.add_argument("--heads", required=True)
+    p.add_argument("--force", action="store_true", help="override the match size cap")
     add_format(p)
     p.set_defaults(func=cmd_match)
 

@@ -142,7 +142,7 @@ def _adjacency(code: int, n: int) -> tuple[tuple[Arrow, ...], tuple[int, ...]]:
     for word in TYPE_WORDS:
         row = rows.get((word, rs.placement(word)))
         if row is not None:
-            masks = tuple(a | b for a, b in zip(masks, row))
+            masks = tuple(map(or_, masks, row))
     return arrows, masks
 
 

@@ -64,18 +64,25 @@ class THWord:
         return out
 
 
-def th_word(tails: Sequence[int], heads: Sequence[int]) -> THWord:
+def _trace(
+    tails: Sequence[int], heads: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """I and J, each parsed once and checked disjoint, as the sorted nodes
+    of I + J and the letter T or H of each."""
     tails = parse_nodes(tails)
     heads = parse_nodes(heads)
-    if set(tails) & set(heads):
-        raise ValueError("tail and head sets must be disjoint")
-    if len(tails) != len(heads):
-        raise ValueError("tail and head sets must have equal size")
-    nodes = sorted(tails + heads)
     tail_set = set(tails)
-    return THWord(
-        tuple(nodes), tuple("T" if x in tail_set else "H" for x in nodes)
-    )
+    if not tail_set.isdisjoint(heads):
+        raise ValueError("tail and head sets must be disjoint")
+    nodes = tuple(sorted(tails + heads))
+    return nodes, tuple("T" if x in tail_set else "H" for x in nodes)
+
+
+def th_word(tails: Sequence[int], heads: Sequence[int]) -> THWord:
+    nodes, letters = _trace(tails, heads)
+    if 2 * letters.count("T") != len(letters):
+        raise ValueError("tail and head sets must have equal size")
+    return THWord(nodes, letters)
 
 
 LOWER_DYCK = "lower"
@@ -266,6 +273,29 @@ def _revlex_matching(rs: RuleSet, word: THWord) -> Matching:
     )
 
 
+_SWAP = {"T": "H", "H": "T"}
+
+
+def _oriented_simion_matching(rs: RuleSet, word: THWord) -> Matching:
+    """The Simion construction in the orientation it is written for, reached
+    through the arrow-reversal involution (the word's letters swap) and the
+    reflected dual (the word is reflected, reversed and its letters swap)."""
+    if rs.thth == NONEST:
+        dual = THWord(word.positions, tuple(_SWAP[x] for x in word.letters))
+        return frozenset(a.reversed() for a in _oriented_simion_matching(rs.dual(), dual))
+    if rs.thht == CROSS and rs.htth == NONCROSS:
+        ends = word.positions[0] + word.positions[-1]
+        mirrored = THWord(
+            tuple(ends - x for x in reversed(word.positions)),
+            tuple(_SWAP[x] for x in reversed(word.letters)),
+        )
+        return frozenset(
+            Arrow(ends - a.head, ends - a.tail)
+            for a in _oriented_simion_matching(rs.reflected_dual(), mirrored)
+        )
+    return _simion_matching(rs, word)
+
+
 def construct_matching(
     rs: RuleSet, tails: Sequence[int], heads: Sequence[int]
 ) -> Matching:
@@ -280,27 +310,11 @@ def construct_matching(
     label = classify(rs)
     if label is ClassLabel.INVALID:
         raise ValueError(f"rule set {rs} does not define a triangulation")
-    tails = parse_nodes(tails)
-    heads = parse_nodes(heads)
-    if not tails and not heads:
-        return frozenset()
     word = th_word(tails, heads)
-
+    if not word.positions:
+        return frozenset()
     if label is ClassLabel.LEX:
         return _lex_matching(rs, word)
     if label is ClassLabel.REVLEX:
         return _revlex_matching(rs, word)
-
-    if rs.thth == NONEST:
-        reversed_match = construct_matching(rs.dual(), heads, tails)
-        return frozenset(a.reversed() for a in reversed_match)
-    if rs.thht == CROSS and rs.htth == NONCROSS:
-        lo, hi = min(tails + heads), max(tails + heads)
-        reflect = lambda x: lo + hi - x
-        mirrored = construct_matching(
-            rs.reflected_dual(),
-            [reflect(h) for h in heads],
-            [reflect(t) for t in tails],
-        )
-        return frozenset(Arrow(reflect(a.head), reflect(a.tail)) for a in mirrored)
-    return _simion_matching(rs, word)
+    return _oriented_simion_matching(rs, word)

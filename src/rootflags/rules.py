@@ -251,27 +251,17 @@ class RuleSet:
 
     def dual(self) -> "RuleSet":
         """Reverse all arrows: swaps the choices THTH<->HTHT, THHT<->HTTH,
-        TTHH<->HHTT."""
-        return RuleSet(
-            thth=self.htht,
-            htht=self.thth,
-            thht=self.htth,
-            htth=self.thht,
-            tthh=self.hhtt,
-            hhtt=self.tthh,
-        )
+        TTHH<->HHTT, which are the bit pairs (5, 4), (3, 2), (1, 0) of the
+        code.  One shared instance per code, as from ``from_code``."""
+        code = self.code
+        return RuleSet.from_code((code & 0b101010) >> 1 | (code & 0b010101) << 1)
 
     def reflected_dual(self) -> "RuleSet":
         """Reverse all arrows and reflect node labels: swaps only the
-        THHT<->HTTH choices."""
-        return RuleSet(
-            thth=self.thth,
-            htht=self.htht,
-            thht=self.htth,
-            htth=self.thht,
-            tthh=self.tthh,
-            hhtt=self.hhtt,
-        )
+        THHT<->HTTH choices, bits 3 and 2 of the code.  One shared instance
+        per code, as from ``from_code``."""
+        code = self.code
+        return RuleSet.from_code(code & 0b110011 | (code & 0b1000) >> 1 | (code & 0b100) << 1)
 
 
 @lru_cache(maxsize=1)
@@ -438,11 +428,9 @@ def arrows_of(n: int) -> list[Arrow]:
 def parse_nodes(text: "str | Iterable[int]") -> tuple[int, ...]:
     """Parse a node set given as comma/space separated integers."""
     if isinstance(text, str):
-        pieces = text.replace(",", " ").split()
-        values = tuple(int(p) for p in pieces)
-    else:
-        values = tuple(int(p) for p in text)
-    if any(v < 1 for v in values):
+        text = text.replace(",", " ").split()
+    values = tuple(map(int, text))
+    if values and min(values) < 1:
         raise ValueError(f"nodes must be >= 1: {values}")
     if len(set(values)) != len(values):
         raise ValueError(f"repeated node in {values}")

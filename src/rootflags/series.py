@@ -15,14 +15,13 @@ saturated-face counts, u and v mark left/right node groups.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 Exponents = tuple[int, ...]
 
@@ -872,39 +871,28 @@ def lex_refined_count(n: int, k: int) -> int:
     return int(value)
 
 
-def _runs(values: Sequence[int]) -> list[int]:
-    """Lengths of the maximal intervals of consecutive integers."""
-    out = []
-    run = 0
-    previous = None
-    for v in values:
-        if previous is not None and v == previous + 1:
-            run += 1
-        else:
-            if run:
-                out.append(run)
-            run = 1
-        previous = v
-    if run:
-        out.append(run)
-    return out
-
-
 def catalan_run_identity(k: int, i: int) -> int:
     """Sum over the i-subsets S of 1..k of the product of Catalan numbers
-    over the runs of S and of its complement; equals C_k for every i."""
+    over the runs of S and of its complement; equals C_k for every i.
+
+    Counted by a transfer over positions in O(k^3): the maximal runs
+    alternate between S and its complement, so a subset is a sequence of
+    runs that tile 1..k, and a run of length L weighs C_L."""
     if not 0 <= i <= k:
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
-    total = 0
-    universe = range(1, k + 1)
-    for subset in itertools.combinations(universe, i):
-        inside = set(subset)
-        complement = [v for v in universe if v not in inside]
-        product = 1
-        for run in _runs(list(subset)) + _runs(complement):
-            product *= catalan_number(run)
-        total += product
-    return total
+    catalan = [catalan_number(length) for length in range(k + 1)]
+    # ends[p][side][j]: the weight of the run sequences tiling 1..p whose last
+    # run lies in S (side 1) or outside it (side 0), with j nodes in S
+    ends = [[[0] * (i + 1), [0] * (i + 1)] for _ in range(k + 1)]
+    # the empty tiling may be followed by a run on either side
+    ends[0] = [[1] + [0] * i, [1] + [0] * i]
+    for p in range(k):
+        for side in (0, 1):
+            for j, weight in enumerate(ends[p][1 - side]):
+                for length in range(1, min(k - p, i - j if side else k) + 1):
+                    ends[p + length][side][j + side * length] += weight * catalan[length]
+    # at k = 0 the empty tiling is the one subset, counted on both sides
+    return ends[k][0][i] + ends[k][1][i] if k else 1
 
 
 def lex_mixed_forest_poly(k: int, i: int) -> Series:

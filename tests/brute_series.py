@@ -8,14 +8,18 @@ pairs whose last exponent would overflow.  Here every coefficient is a
 exponent tuple, drops it when some exponent leaves the orders, and removes a
 total that cancels to zero on the spot.  ``coeffs`` of the library's result
 must equal the oracle's dict exactly.
+
+The subset sum that ``catalan_run_identity`` replaced with a transfer over
+positions is kept here as its oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from rootflags.series import Exponents, Series, SeriesRing
+from rootflags.series import Exponents, Series, SeriesRing, catalan_number
 
 #: The oracle's form of a series; a ``Mapping`` argument is one of these or a
 #: ``Series.coeffs`` view.
@@ -119,3 +123,35 @@ def brute_mul(self: Series, other) -> Series:
     if other is None:
         return NotImplemented
     return Series(self.ring, mul(self.ring, self.coeffs, other.coeffs))
+
+
+def _runs(values: Sequence[int]) -> list[int]:
+    """Lengths of the maximal intervals of consecutive integers."""
+    out = []
+    run = 0
+    previous = None
+    for v in values:
+        if previous is not None and v == previous + 1:
+            run += 1
+        else:
+            if run:
+                out.append(run)
+            run = 1
+        previous = v
+    if run:
+        out.append(run)
+    return out
+
+
+def catalan_run_identity(k: int, i: int) -> int:
+    """Sum over the i-subsets S of 1..k of the product of Catalan numbers
+    over the runs of S and of its complement, subset by subset."""
+    total = 0
+    universe = range(1, k + 1)
+    for subset in itertools.combinations(universe, i):
+        complement = [v for v in universe if v not in subset]
+        product = 1
+        for run in _runs(subset) + _runs(complement):
+            product *= catalan_number(run)
+        total += product
+    return total

@@ -46,16 +46,10 @@ def test_pair_classes_match_the_sweep(n):
     assert got[2] == want[2], sorted(set(got[2]) ^ set(want[2]))
 
 
-def test_pair_classes_classify_only_the_range_cases(monkeypatch):
+def test_pair_classes_classify_only_the_range_cases(count_calls):
     # two arrow directions times 12 range cases; the all-pairs sweep would
     # make m(m-1)/2 = 12,246 calls at n = 12
-    calls = []
-
-    def counted(a, b, n=None):
-        calls.append((a, b))
-        return pair_relation(a, b, n)
-
-    monkeypatch.setattr(complexes, "pair_relation", counted)
+    calls = count_calls(complexes, "pair_relation")
     complexes._pair_classes.__wrapped__(12)
     assert 0 < len(calls) <= 24
 

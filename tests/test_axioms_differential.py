@@ -17,7 +17,7 @@ import brute_axioms as brute
 from rootflags import axioms, rules
 from rootflags.axioms import AxiomReport, MultiplicityError
 from rootflags.complexes import adjacency
-from rootflags.rules import ALIASES, RuleSet
+from rootflags.rules import ALIASES, Arrow, RuleSet
 
 CODES = [RuleSet.from_code(code) for code in range(64)]
 CHECKS = ("check_permissible", "check_support_axiom", "check_linkage_axiom")
@@ -140,6 +140,25 @@ def test_support_matchings_match_oracle(shared_pair_relation):
             assert got == want, (rs.letters, tails, heads)
             counts.add(len(want))
     # the unique case and both kinds of failure were compared
+    assert 0 in counts and 1 in counts and any(count >= 2 for count in counts), counts
+
+
+def test_word_matchings_match_oracle_on_every_word(shared_pair_relation):
+    # every word of at most 4 tails, placed on nodes 1..len(word) and solved
+    # on the masks of every V_n, n <= 7, that holds it; the oracle's
+    # matchings do not depend on n
+    counts = set()
+    for rs in CODES:
+        for k in range(5):
+            for word in axioms._words(k):
+                tails, heads = _tails_heads(word)
+                want = brute.all_support_matchings(rs, tails, heads)
+                counts.add(len(want))
+                for n in range(max(2 * k - 1, 0), 8):
+                    got = axioms._word_matchings(n, adjacency(rs, n)[1], word)
+                    assert all([t + 1 for t, _ in m] == tails for m in got)
+                    relabeled = [frozenset(Arrow(t + 1, h + 1) for t, h in m) for m in got]
+                    assert relabeled == want, (rs.letters, word, n)
     assert 0 in counts and 1 in counts and any(count >= 2 for count in counts), counts
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rootflags.cli import SERIES_ORDER_CAP, build_parser, main
+from rootflags.cli import EXCESS_N_CAP, MATCH_SIZE_CAP, SERIES_ORDER_CAP, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -316,3 +316,54 @@ def test_series_order_cap_is_inclusive_and_force_lifts_it(capsys):
     )
     assert code == 0
     assert json.loads(out)["zorder"] == SERIES_ORDER_CAP + 1
+
+
+def _match_argv(k):
+    # I = 1..k onto J = k+1..2k: SIMION_C solves it in about 0.1 s at k = 17
+    return (
+        "match", "--rules", "SIMION_C",
+        "--tails", ",".join(map(str, range(1, k + 1))),
+        "--heads", ",".join(map(str, range(k + 1, 2 * k + 1))),
+    )
+
+
+@pytest.mark.parametrize("k", [MATCH_SIZE_CAP + 1, 25])
+def test_match_rejects_more_tails_than_the_cap(capsys, k):
+    code, out, err = run_cli(capsys, *_match_argv(k))
+    assert code == 2
+    assert out == ""
+    assert (
+        f"error: |I| = {k} exceeds the match size cap {MATCH_SIZE_CAP}; "
+        "pass --force to lift it"
+    ) in err
+
+
+def test_match_size_cap_is_inclusive_and_force_lifts_it(capsys):
+    for k, extra in ((MATCH_SIZE_CAP, ()), (MATCH_SIZE_CAP + 1, ("--force",))):
+        code, out, _ = run_cli(capsys, *_match_argv(k), *extra, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["matching"] == [[t, 2 * k + 1 - t] for t in range(1, k + 1)]
+        assert payload["agrees_with_construction"] is True
+
+
+@pytest.mark.parametrize("argv", [("--code", "LEX_NN"), ("--all-orbits",)])
+@pytest.mark.parametrize("value", [EXCESS_N_CAP + 1, 100000])
+def test_excess_rejects_n_above_the_cap(capsys, argv, value):
+    code, out, err = run_cli(capsys, "excess", *argv, "--n", str(value))
+    assert code == 2
+    assert out == ""
+    assert (
+        f"error: --n {value} exceeds the excess size cap {EXCESS_N_CAP}; "
+        "pass --force to lift it"
+    ) in err
+
+
+def test_excess_cap_is_inclusive_and_force_lifts_it(capsys):
+    for n, extra in ((EXCESS_N_CAP, ()), (EXCESS_N_CAP + 1, ("--force",))):
+        code, out, _ = run_cli(
+            capsys, "excess", "--code", "LEX_NN", "--n", str(n), *extra, "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n"] == n and len(payload["degrees"]) == n * (n + 1)

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rootflags.axioms import support_matching
+from rootflags import axioms, matchings
+from rootflags.axioms import MultiplicityError, restriction_ensemble, support_matching
 from rootflags.matchings import (
     BOTH_EMPTY,
     LOWER_DYCK,
@@ -13,7 +16,16 @@ from rootflags.matchings import (
     dyck_classify,
     th_word,
 )
-from rootflags.rules import ALIASES, Arrow, CROSS, NEST, RuleSet, is_edge, valid_rulesets
+from rootflags.rules import (
+    ALIASES,
+    Arrow,
+    CROSS,
+    NEST,
+    TABLE_ROW_ORDER,
+    RuleSet,
+    is_edge,
+    valid_rulesets,
+)
 
 
 def test_th_word_and_classification():
@@ -101,6 +113,55 @@ def test_construct_matching_handles_both_orientations():
     sigma = construct_matching(rs, [1, 3, 6], [2, 4, 5])
     tau = construct_matching(flipped, [2, 4, 5], [1, 3, 6])
     assert tau == frozenset(a.reversed() for a in sigma)
+
+
+def test_construct_equals_support_matching_up_to_twelve_tails():
+    # seeded words of every length 0, 2, ..., 24 for each orbit representative
+    rng = random.Random(12)
+    for name in TABLE_ROW_ORDER:
+        rs = ALIASES[name]
+        for k in range(13):
+            for _ in range(2):
+                nodes = rng.sample(range(1, 2 * k + 7), 2 * k)
+                tails, heads = sorted(nodes[:k]), sorted(nodes[k:])
+                assert construct_matching(rs, tails, heads) == support_matching(
+                    rs, tails, heads
+                ), (name, tails, heads)
+
+
+@pytest.mark.parametrize(
+    "rs, descents",
+    [
+        (ALIASES["LEX_NN"], 0),
+        (ALIASES["REVLEX_XN"], 0),
+        (ALIASES["SIMION_C"], 1),
+        (ALIASES["SIMION_A_NN"].dual(), 2),  # the dual branch
+        (ALIASES["SIMION_B_NN"].reflected_dual(), 2),  # the reflected branch
+        (ALIASES["SIMION_B_NN"].dual().reflected_dual(), 3),  # both
+    ],
+)
+def test_each_node_set_is_parsed_once(count_calls, rs, descents):
+    # support_matching, construct_matching and restriction_ensemble all parse
+    # I and J in matchings._trace; the Simion branches run on the word
+    parsed = count_calls(matchings, "parse_nodes")
+    oriented = count_calls(matchings, "_oriented_simion_matching")
+    tails, heads = [2, 5, 6, 9], [1, 3, 7, 8]
+    built = construct_matching(rs, tails, heads)
+    assert len(parsed) == 2 and len(oriented) == descents
+    assert support_matching(rs, tails, heads) == built
+    assert len(parsed) == 4
+    restriction_ensemble(rs, tails, heads[:3])
+    assert len(parsed) == 6
+
+
+def test_multiplicity_error_parses_each_node_set_once(count_calls):
+    parsed = count_calls(matchings, "parse_nodes")
+    bad = RuleSet.parse("THTH:nest HTHT:nonest THHT:cross HTTH:cross TTHH:nest HHTT:cross")
+    with pytest.raises(MultiplicityError) as exc:
+        support_matching(bad, "6 2 4", [5, 3, 1])
+    assert len(parsed) == 2
+    assert (exc.value.tails, exc.value.heads, exc.value.count) == ((2, 4, 6), (1, 3, 5), 2)
+    assert list(exc.value.matchings) == axioms.all_support_matchings(bad, [2, 4, 6], [1, 3, 5])
 
 
 def test_backward_matching_avoids_forbidden_pattern():

@@ -20,6 +20,7 @@ from rootflags.rules import (
     orbit_of,
     orbits,
     pair_relation,
+    parse_nodes,
     valid_rulesets,
 )
 
@@ -163,6 +164,29 @@ def test_involutions():
         assert classify(rs.reflected_dual()) is classify(rs)
 
 
+#: Each involution as the field swap it stands for.
+SWAPPED_FIELDS = {
+    "dual": lambda rs: RuleSet(
+        thth=rs.htht, htht=rs.thth, thht=rs.htth, htth=rs.thht, tthh=rs.hhtt, hhtt=rs.tthh
+    ),
+    "reflected_dual": lambda rs: RuleSet(
+        thth=rs.thth, htht=rs.htht, thht=rs.htth, htth=rs.thht, tthh=rs.tthh, hhtt=rs.hhtt
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(SWAPPED_FIELDS))
+def test_involutions_are_the_field_swaps_and_shared_instances(method):
+    for rs in all_rulesets():
+        image = getattr(rs, method)()
+        assert image == SWAPPED_FIELDS[method](rs), (rs.letters, method)
+        assert image is getattr(rs, method)() is RuleSet.from_code(image.code)
+        assert getattr(image, method)() is rs
+        # an instance built field by field maps to the same shared instance
+        fresh = RuleSet.parse(rs.verbose())
+        assert fresh is not rs and getattr(fresh, method)() is image
+
+
 def test_dual_swaps_tthh_hhtt():
     lex_nx = ALIASES["LEX_NX"]
     assert lex_nx.hhtt == NEST and lex_nx.tthh == CROSS
@@ -238,3 +262,12 @@ def test_arrows_of():
     assert arrows_of(1) == [Arrow(1, 2), Arrow(2, 1)]
     assert arrows_of(0) == []
     assert arrows_of(2)[0] == Arrow(1, 2)
+
+
+def test_parse_nodes():
+    assert parse_nodes("4, 1 3") == (1, 3, 4)
+    assert parse_nodes([2, "5", 1]) == (1, 2, 5)
+    assert parse_nodes("") == parse_nodes([]) == ()
+    for bad in ("0 2", [3, -1], "1,2,1", "1 x"):
+        with pytest.raises(ValueError):
+            parse_nodes(bad)

@@ -4,6 +4,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import brute_series as brute
 from rootflags.series import (
     Series,
     SeriesRing,
@@ -327,10 +328,16 @@ def test_lex_refined_count():
 
 
 def test_catalan_run_identity():
-    for k in range(11):
+    for k in range(13):
         for i in range(k + 1):
-            assert catalan_run_identity(k, i) == catalan_number(k)
+            assert catalan_run_identity(k, i) == brute.catalan_run_identity(k, i), (k, i)
+    for k in range(25):
+        for i in range(k + 1):
+            assert catalan_run_identity(k, i) == catalan_number(k), (k, i)
     assert catalan_run_identity(4, 2) == 14
+    for k, i in ((3, -1), (3, 4)):
+        with pytest.raises(ValueError):
+            catalan_run_identity(k, i)
 
 
 def test_lex_mixed_forest_poly():

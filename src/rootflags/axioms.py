@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .complexes import _adjacency, _node_masks, _pair_classes, adjacency, check_ambient_size
+from .complexes import _adjacency, _count_order, _node_masks, _pair_classes
+from .complexes import adjacency, check_ambient_size
 from .matchings import THWord, _trace, th_word
 from .rules import Arrow, RuleSet
 
@@ -94,10 +95,10 @@ def _walk_tables(
     positions and the mask of the arrows that share neither its tail nor
     its head.  ANDed with the arrow's neighbours, that last mask leaves the
     neighbours that share no node with it."""
-    arrows, shared, _ = _pair_classes(n)
+    arrows, shared, _ = _pair_classes(n, None)
     full = (1 << len(arrows)) - 1
     return (
-        *_node_masks(n),
+        *_node_masks(n, None),
         tuple((t - 1, h - 1) for t, h in arrows),
         tuple(full ^ mask for mask in shared),
     )
@@ -362,8 +363,7 @@ def _has_circuit(
     taken from cand ANDs its mask into the candidates, and the cycle closes
     at head h when the arrow (t1, h) is still free or a candidate.
     """
-    index = _index_table(n)
-    leaving, entering = _node_masks(n)
+    leaving, entering = _node_masks(n, None)
     above = [0] * (n + 3)  # above[t]: the arrows whose tail exceeds t
     for t in range(n + 1, 0, -1):
         above[t - 1] = above[t] | leaving[t]
@@ -392,7 +392,7 @@ def _has_circuit(
             if used >> h & 1:
                 continue
             nxt = cand if free >> v & 1 else cand & masks[v]
-            if (nxt | free) >> index[t1][h] & 1 or from_head(t1, h, nxt, used | 1 << h):
+            if (nxt | free) & leaving[t1] & entering[h] or from_head(t1, h, nxt, used | 1 << h):
                 return True
         return False
 
@@ -751,11 +751,11 @@ def _restriction_by_pattern(code: int, pattern: tuple[str, ...]) -> frozenset[in
     pattern placed on nodes 1..len(pattern), and depend only on the
     adjacency among those arrows."""
     n = max(len(pattern) - 1, 0)
-    masks = _adjacency(code, n)[1]
-    index = _index_table(n)
+    masks = _adjacency(code, n, _count_order(n))[1]  # cached by the face tables of V_n
+    leaving, entering = _node_masks(n, _count_order(n))  # (t, h) is leaving[t] & entering[h]
     tails = [p for p, letter in enumerate(pattern, 1) if letter == "T"]
     heads = [p for p, letter in enumerate(pattern, 1) if letter == "H"]
-    arrows = tuple(index[t][h] for t in tails for h in heads)
+    arrows = tuple((leaving[t] & entering[h]).bit_length() - 1 for t in tails for h in heads)
     start = sum(1 << v for v in arrows)
     return _family(len(tails), len(heads), arrows, tuple(masks[v] & start for v in arrows))
 

@@ -26,9 +26,9 @@ from .axioms import (
     me_axioms,
 )
 from .complexes import (
+    _count_order,
     _end_tally,
     _excess_degrees,
-    adjacency,
     dimension_face_count,
     excess_degree_formula,
     face_table,
@@ -38,7 +38,6 @@ from .rules import (
     ClassLabel,
     NEST,
     RuleSet,
-    arrows_of,
     classify,
     valid_rulesets,
 )
@@ -269,9 +268,9 @@ def _saturated_at(nodes: int) -> int | None:
     return n if nodes == (1 << n + 2) - 2 else None
 
 
-def _arrows_where(rs: RuleSet, n: int, forward: bool) -> int:
-    """The mask of the forward (or backward) arrows of V_n."""
-    return sum(1 << v for v, a in enumerate(adjacency(rs, n)[0]) if a.forward == forward)
+def _arrows_where(n: int, forward: bool) -> int:
+    """The mask of the forward (or backward) arrows of V_n, over ``_count_order(n)``."""
+    return sum(1 << v for v, a in enumerate(_count_order(n)) if a.forward == forward)
 
 
 def prefix_refined_counts(
@@ -286,7 +285,7 @@ def prefix_refined_counts(
     1..m+1 is a face of every V_n with m <= n <= n_max."""
     counts: dict[tuple[int, int, int], int] = {}
     saturated: dict[tuple[int, int, int], int] = {}
-    tally = _end_tally(rs.code, n_max, _arrows_where(rs, n_max, False))
+    tally = _end_tally(rs.code, n_max, _arrows_where(n_max, False))
     for (heads, tails, _, size), c in tally.items():
         nodes = heads | tails
         i = (nodes & (tails & -tails) - 1).bit_count()
@@ -332,7 +331,7 @@ def forward_saturated_groups(
     lower ends are the tails: by uniformity the saturated faces of V_n are
     the faces of the larger complex on exactly the nodes 1..n+1."""
     groups: dict[int, dict[tuple[int, int, int], int]] = {n: {} for n in range(1, n_max + 1)}
-    tally = _end_tally(rs.code, n_max, _arrows_where(rs, n_max, True))
+    tally = _end_tally(rs.code, n_max, _arrows_where(n_max, True))
     for (tails, heads, _, size), c in tally.items():
         n = _saturated_at(tails | heads)
         if size and n is not None:
@@ -612,7 +611,7 @@ def check_excess_formula(zorder: int) -> CheckResult:
     bad = []
     for rs in valid_rulesets():
         for n in range(1, n_max + 1):
-            for arrow, degree in zip(arrows_of(n), _excess_degrees(rs.code, n)):
+            for arrow, degree in _excess_degrees(rs.code, n):
                 if degree != excess_degree_formula(rs, n, arrow):
                     bad.append((rs.letters, n, arrow))
     return _result(

@@ -14,6 +14,7 @@ part of the contract of ``enumerate_faces``.
 Face tables are counted, not walked: a clique count memoised on the
 candidate mask yields the (forward, backward) polynomial of every complex
 V_m, m <= n, at once, and the saturated tables follow by binomial inversion.
+The count orders the arrows upper node first, which halves its memo (``_count_cliques``).
 The oracles of ``series check`` that need more than (forward, backward)
 read one end tally instead: the cliques inside a start mask counted by the
 nodes their arrows touch as lower and as upper ends (``_end_tally``).
@@ -65,11 +66,17 @@ def check_resource_cap(n: int, force: bool = False) -> None:
 
 
 @lru_cache(maxsize=16)
-def _node_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per node, the masks of the arrows of V_n leaving it and entering it."""
+def _count_order(n: int) -> tuple[Arrow, ...]:
+    """The arrows of V_n by upper node descending, then lower node ascending."""
+    return tuple(sorted(arrows_of(n), key=lambda a: (-max(a), min(a))))
+
+
+@lru_cache(maxsize=32)
+def _node_masks(n: int, order: tuple[Arrow, ...] | None) -> tuple[tuple[int, ...], ...]:
+    """Per node, the masks of the arrows (order, or arrows_of(n) if None) out of and into it."""
     leaving = [0] * (n + 2)
     entering = [0] * (n + 2)
-    for v, (t, h) in enumerate(arrows_of(n)):
+    for v, (t, h) in enumerate(order or arrows_of(n)):
         leaving[t] |= 1 << v
         entering[h] |= 1 << v
     return tuple(leaving), tuple(entering)
@@ -80,13 +87,13 @@ def _node_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 _MODEL_RANGES = ((1, 2), (4, 5), (7, 8))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=32)
 def _pair_classes(
-    n: int,
+    n: int, order: tuple[Arrow, ...] | None
 ) -> tuple[tuple[Arrow, ...], tuple[int, ...], dict[tuple[str, str], tuple[int, ...]]]:
-    """Arrow list, per-arrow masks of the shared-tail/shared-head partners,
-    and per (type word, placement) the per-arrow masks of the node-disjoint
-    partners with that word and placement.
+    """Arrow list (order, or arrows_of(n) when None), per-arrow masks of the
+    shared-tail/shared-head partners, and per (type word, placement) the
+    per-arrow masks of the node-disjoint partners with that word and placement.
 
     None of this depends on the rule code: by uniformity an arrow pair is an
     edge exactly when it shares an endpoint role or its placement is the one
@@ -102,11 +109,11 @@ def _pair_classes(
     case is the partners with tail in one range and head in the other, an
     AND of prefix ORs of the node masks.
     """
-    arrows = tuple(arrows_of(n))
+    arrows = order or tuple(arrows_of(n))
     m = len(arrows)
     full = (1 << m) - 1
     forward = sum(1 << v for v, (t, h) in enumerate(arrows) if t < h)
-    leaving, entering = _node_masks(n)
+    leaving, entering = _node_masks(n, order)
     # [k]: the arrows whose tail (head) is one of the nodes 1..k
     tails_upto = list(accumulate(leaving, or_))
     heads_upto = list(accumulate(entering, or_))
@@ -135,10 +142,12 @@ def _pair_classes(
 
 
 @lru_cache(maxsize=1024)
-def _adjacency(code: int, n: int) -> tuple[tuple[Arrow, ...], tuple[int, ...]]:
-    """Arrow list and per-arrow neighbour bitmasks for (rule set, n)."""
+def _adjacency(
+    code: int, n: int, order: tuple[Arrow, ...] | None = None
+) -> tuple[tuple[Arrow, ...], tuple[int, ...]]:
+    """Arrow list (order, default arrows_of(n)) and neighbour bitmasks for (rule set, n)."""
     rs = RuleSet.from_code(code)
-    arrows, masks, rows = _pair_classes(n)
+    arrows, masks, rows = _pair_classes(n, order)
     for word in TYPE_WORDS:
         row = rows.get((word, rs.placement(word)))
         if row is not None:
@@ -206,14 +215,14 @@ def _iter_cliques(
 
 
 def _end_tally(code: int, n: int, start: int) -> dict[tuple[int, int, int, int], int]:
-    """Count the cliques of V_n inside the start mask by their ends.
+    """Count the cliques of V_n inside the start mask (over ``_count_order(n)``) by their ends.
 
     A key is (lower, upper, forward, size): lower and upper OR the node bits
     1 << min(arrow) and 1 << max(arrow) over the clique's arrows, forward
     counts its forward arrows and size all of them.  The four values are
     carried down the clique DFS, so a clique costs one dict update.
     """
-    arrows, masks = _adjacency(code, n)
+    arrows, masks = _adjacency(code, n, _count_order(n))
     lower = [1 << min(arrow) for arrow in arrows]
     upper = [1 << max(arrow) for arrow in arrows]
     forward = [int(arrow.forward) for arrow in arrows]
@@ -322,16 +331,21 @@ SELECTORS = ("all", "saturated", "facets")
 
 def _count_cliques(
     arrows: tuple[Arrow, ...], masks: tuple[int, ...], starts: list[int], dim: int
-) -> tuple[list[int], int]:
-    """Clique polynomials of the subgraphs on the start masks, and the slot
-    width they are packed with.
+) -> tuple[list[int], int, int]:
+    """Clique polynomials of the subgraphs on the start masks, the slot width
+    they are packed with, and the number of memo states.
 
     count(cand) = 1 + sum over v in cand of x^fwd(v) y^bwd(v) * count(cand &
     masks[v] & above(v)), memoised on cand.  A polynomial is one int: cell
     (i, d-i) sits in slot d*(dim+1)+i, so x and y are shifts.  A slot holds
     the number of sets of at most dim arrows, so no cell of a face with at
     most dim arrows carries into the next; larger faces land above slot
-    (dim+1)^2 - 1, which the caller must check.
+    (dim+1)^2 - 1, which the caller must check.  The number of states
+    depends on the arrow order: by upper node first (``_count_order``), the
+    arrows above v lie on nodes 1..u, u the upper node of v, so the count
+    peels the complex from its top node down and clique prefixes often
+    leave the same state.  The 15 orbit representatives need 13,193 states
+    at n = 7 (24,827 in index order).
     """
     width = sum(comb(len(arrows), k) for k in range(dim + 1)).bit_length()
     shift = [width * (dim + 2 if tail < head else dim + 1) for tail, head in arrows]
@@ -356,13 +370,14 @@ def _count_cliques(
         return total
 
     polys = [count(start) for start in starts]
+    states = len(memo)
     memo.clear()  # count is a reference cycle: free the table now
-    return polys, width
+    return polys, width, states
 
 
 @lru_cache(maxsize=1024)
 def _face_tables(code: int, n: int) -> dict[str, dict[tuple[int, int], int]]:
-    arrows, masks = _adjacency(code, n)
+    arrows, masks = _adjacency(code, n, _count_order(n))
     # By uniformity the arrows inside nodes 1..m+1 span a copy of the
     # complex at size m, with the same forward and backward arrows.
     starts = [
@@ -371,7 +386,7 @@ def _face_tables(code: int, n: int) -> dict[str, dict[tuple[int, int], int]]:
     ]
     dim = n
     while True:
-        polys, width = _count_cliques(arrows, masks, starts, dim)
+        polys, width, _ = _count_cliques(arrows, masks, starts, dim)
         if polys[n].bit_length() <= (dim + 1) ** 2 * width:
             break
         dim += 1  # a face has more than dim arrows (a circuit): recount wider
@@ -431,11 +446,12 @@ def excess_degree(rs: RuleSet, n: int, arrow: Arrow) -> int:
     return count
 
 
-def _excess_degrees(code: int, n: int) -> list[int]:
-    """Excess degree of every arrow of V_n, in arrow order: its neighbours
-    that share no endpoint, read off the adjacency masks."""
-    shared = _pair_classes(n)[1]
-    return [(mask & ~s).bit_count() for mask, s in zip(_adjacency(code, n)[1], shared)]
+def _excess_degrees(code: int, n: int) -> list[tuple[Arrow, int]]:
+    """Every arrow of V_n, in ``_count_order(n)``, with its neighbours that
+    share no endpoint, read off the masks that ``_face_tables`` caches."""
+    arrows, masks = _adjacency(code, n, _count_order(n))
+    shared = _pair_classes(n, arrows)[1]
+    return [(arrow, (mask & ~s).bit_count()) for arrow, mask, s in zip(arrows, masks, shared)]
 
 
 def excess_degree_formula(rs: RuleSet, n: int, arrow: Arrow) -> int:

@@ -326,11 +326,11 @@ class Series:
 
     def slice(self, **fixed: int) -> "Series":
         """Terms with the given exponents for some variables, divided out."""
-        # an exponent outside its slot (negative or too large) sets bits of
-        # want outside clear, so no key matches it
         slots = self.ring.packing.slots
         clear = want = 0
         for name, e in fixed.items():
+            if not 0 <= e <= self.ring.order(name):
+                return self.ring.zero()  # e << shift could alias a fixed neighbour's slot
             shift, mask = slots[self.ring.index(name)]
             clear |= mask << shift
             want |= e << shift

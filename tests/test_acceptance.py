@@ -7,6 +7,8 @@ pass/fail lines and the printed witnesses for the failing codes.
 import itertools
 from math import comb
 
+import pytest
+
 from rootflags.axioms import (
     check_linkage_axiom,
     check_support_axiom,
@@ -29,10 +31,11 @@ from rootflags.checks import (
     check_transfer_roundtrip,
     check_delannoy_egf_routes,
 )
-from rootflags.complexes import excess_signature
+from rootflags.complexes import dimension_face_count, excess_signature, face_table
 from rootflags.matchings import construct_matching
 from rootflags.rules import (
     ALIASES,
+    NEST,
     ClassLabel,
     RuleSet,
     TABLE_ROW_ORDER,
@@ -130,6 +133,25 @@ def test_criterion_3_f_vector_universality():
     per-class refined tables for n <= 7."""
     result = check_f_vector(7)
     report("criterion 3 (f-vector universality, n<=7)", result.passed, result.detail)
+
+
+@pytest.mark.slow
+def test_refined_tables_depend_only_on_the_class_at_n11():
+    """The paper's claim past the resource cap: the 15 orbit representatives
+    share the per-dimension counts C(n+k,k) C(n,k), and their refined tables
+    are equal within each class, oriented as in f-vector universality."""
+    n = 11
+    reference: dict[str, dict] = {}
+    for name in TABLE_ROW_ORDER:
+        rs = ALIASES[name]
+        table = face_table(rs, n, force=True)
+        assert table.by_dimension() == {k: dimension_face_count(n, k) for k in range(n + 1)}
+        label = classify(rs)
+        if label.simion and rs.thth != NEST:
+            table = table.transpose()
+        counts = reference.setdefault("simion" if label.simion else label.value, table.counts)
+        assert table.counts == counts, name
+    assert sorted(reference) == ["lex", "revlex", "simion"]
 
 
 def test_criterion_4_simion_class():

@@ -3,7 +3,8 @@
 ``complexes._pair_classes`` classifies 24 range cases on a model line and
 builds every row from node masks; the oracle here classifies every arrow
 pair of V_n with ``pair_relation``.  ``_adjacency`` is also compared, for
-all 64 codes, with the masks of the pairwise edge predicate.
+all 64 codes, with the masks of the pairwise edge predicate, and its
+count-order masks with its index-order masks.
 """
 
 from functools import lru_cache
@@ -39,7 +40,7 @@ def pair_classes_sweep(
 
 @pytest.mark.parametrize("n", range(11))
 def test_pair_classes_match_the_sweep(n):
-    got = complexes._pair_classes.__wrapped__(n)
+    got = complexes._pair_classes.__wrapped__(n, None)
     want = pair_classes_sweep(n)
     assert got[0] == want[0]
     assert got[1] == want[1]
@@ -50,7 +51,7 @@ def test_pair_classes_classify_only_the_range_cases(count_calls):
     # two arrow directions times 12 range cases; the all-pairs sweep would
     # make m(m-1)/2 = 12,246 calls at n = 12
     calls = count_calls(complexes, "pair_relation")
-    complexes._pair_classes.__wrapped__(12)
+    complexes._pair_classes.__wrapped__(12, None)
     assert 0 < len(calls) <= 24
 
 
@@ -64,3 +65,22 @@ def test_adjacency_matches_the_edge_predicate(monkeypatch):
             arrows, masks = complexes._adjacency(code, n)
             assert arrows == tuple(arrows_of(n))
             assert masks == brute.edge_masks(rs, n), (rs.letters, n)
+
+
+def edges(arrows: tuple[Arrow, ...], masks: tuple[int, ...]) -> set[tuple[Arrow, Arrow]]:
+    """The arrow pairs (a, b) with b in the mask of a."""
+    return {(a, b) for a, mask in zip(arrows, masks) for w, b in enumerate(arrows) if mask >> w & 1}
+
+
+def test_count_order_masks_are_the_index_masks_relabeled():
+    for n in range(8):
+        order = complexes._count_order(n)
+        assert sorted(order) == arrows_of(n)
+        # upper node descending, then lower node ascending
+        assert [(-max(a), min(a)) for a in order] == sorted((-max(a), min(a)) for a in order)
+        for code in range(64):
+            arrows, masks = complexes._adjacency(code, n, order)
+            assert arrows == order
+            got = edges(arrows, masks)
+            assert got == edges(*complexes._adjacency(code, n)), (code, n)
+            assert got == {(b, a) for a, b in got}, (code, n)

@@ -3,11 +3,14 @@
 ``face_table`` counts cliques on the adjacency masks and derives the
 saturated table by binomial inversion; the oracle here walks every face and
 tallies it by (forward, backward) arrows, testing saturation and the facet
-size on the face itself.
+size on the face itself.  The count runs over the arrows in count order
+(``complexes._count_order``); a second oracle runs the same count on the
+index-order masks of ``_adjacency(code, n)``.
 """
 
 import pytest
 
+from rootflags import complexes
 from rootflags.complexes import SELECTORS, FaceTable, enumerate_faces, face_table
 from rootflags.rules import ALIASES, TABLE_ROW_ORDER, RuleSet
 
@@ -50,3 +53,38 @@ def test_circuit_faces_are_counted_beyond_n_arrows():
     for selector in ("all", "saturated"):
         table = face_table(RuleSet.from_code(28), 5, selector)
         assert max(i + j for i, j in table.counts) == 6
+
+
+@pytest.fixture
+def memo_states(monkeypatch):
+    """The memo sizes returned by every ``_count_cliques`` call, in call order."""
+    states = []
+    count = complexes._count_cliques
+
+    def recorded(*args):
+        polys, width, size = count(*args)
+        states.append(size)
+        return polys, width, size
+
+    monkeypatch.setattr(complexes, "_count_cliques", recorded)
+    return states
+
+
+@pytest.mark.parametrize("n", [7, pytest.param(8, marks=pytest.mark.slow)])
+def test_count_order_tables_equal_the_index_order_count(monkeypatch, memo_states, n):
+    got = [complexes._face_tables.__wrapped__(code, n) for code in range(64)]
+    upper_first = sum(memo_states)
+    # the oracle: the same count on the masks of _adjacency(code, n), whose
+    # arrows are in index order
+    monkeypatch.setattr(complexes, "_count_order", lambda n: None)
+    for code in range(64):
+        assert complexes._face_tables.__wrapped__(code, n) == got[code], code
+    assert upper_first < sum(memo_states) - upper_first
+
+
+def test_count_order_memo_states_are_pinned(memo_states):
+    # the memo size of SIMION_C, one count per n; the index order has
+    # 6,540 states at n = 8 and 17,507 at n = 9
+    for n in (8, 9):
+        complexes._face_tables.__wrapped__(ALIASES["SIMION_C"].code, n)
+    assert memo_states == [2382, 5561]

@@ -151,6 +151,17 @@ def test_slice_and_divide_match_brute(data):
         assert_same(a.divide_by_monomial(name, power), want, ring)
 
 
+def test_slice_with_an_exponent_too_large_for_its_slot_is_zero():
+    # a has a 1-bit slot below b's, so 4 << 0 lands on b's lowest bit; with
+    # b fixed too, want would equal the packed key of b^5
+    ring = SeriesRing(("a", "b"), (0, 5))
+    a = ring.from_terms([((0, 5), 1)])
+    for fixed in ({"a": 4, "b": 4}, {"a": 1}, {"b": 6}, {"a": -1, "b": 5}):
+        assert_same(a.slice(**fixed), brute.slice_(ring, a.coeffs, fixed), ring)
+        assert a.slice(**fixed) == ring.zero()
+    assert a.slice(a=0, b=5) == ring.one()
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_map_ring_matches_brute(data):

@@ -7,7 +7,9 @@ I onto J) and the linkage axiom (a matching face can absorb any outside
 node by relinking one arrow endpoint).  Both are decided here
 exhaustively on the adjacency bitmasks of ``complexes.adjacency``, together
 with the underlying matching-ensemble axioms on complete bipartite graphs
-and the spanning-tree correspondence.
+and the spanning-tree correspondence.  Verdicts are decided per T/H word
+or by a circuit search; the matching faces and the circuit witnesses are
+listed by the clique walk of ``complexes._iter_cliques``.
 
 Bipartite objects live on K_{a,b} with left part 1..a and right part 1..b.
 The public functions take and return edges as plain (left, right) pairs and
@@ -22,9 +24,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
-from .complexes import _adjacency, _count_order, _node_masks, _pair_classes
+from .complexes import _adjacency, _count_order, _iter_cliques, _node_masks, _pair_classes
 from .complexes import adjacency, check_ambient_size
 from .matchings import THWord, _trace, th_word
 from .rules import Arrow, RuleSet
@@ -244,31 +247,14 @@ def check_support_axiom(
     return AxiomReport("support", not witnesses, tuple(witnesses))
 
 
-def _matching_cliques(n: int, masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Arrow indices of the nonempty matching faces, in the lexicographic
-    order of ``enumerate_faces``: its DFS with the candidates cut down to
-    the arrows that touch no node of the face so far."""
-    apart = _walk_tables(n)[3]
-    prefix: list[int] = []
-
-    def rec(cand: int) -> Iterator[tuple[int, ...]]:
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            prefix.append(v)
-            yield tuple(prefix)
-            yield from rec(cand & masks[v] & apart[v])
-            prefix.pop()
-
-    yield from rec((1 << len(masks)) - 1)
-
-
 def matching_faces(rs: RuleSet, n: int) -> Iterator[Matching]:
-    """All faces that are matchings (pairwise node-disjoint arrows)."""
+    """All faces that are matchings (pairwise node-disjoint arrows): the
+    clique walk on each arrow's neighbours that share no node with it."""
     check_ambient_size(n)
     arrows, masks = adjacency(rs, n)
-    for face in _matching_cliques(n, masks):
+    faces = _iter_cliques(arrows, tuple(map(and_, masks, _walk_tables(n)[3])), n)
+    next(faces)  # the empty face
+    for face, _ in faces:
         yield frozenset(arrows[v] for v in face)
 
 
@@ -322,7 +308,10 @@ def check_linkage_axiom(
     if _linkage_holds_on_words(n, masks):
         return AxiomReport("linkage", True)
     witnesses = []
-    for face in _matching_cliques(n, masks):
+    # the walk of matching_faces, on arrow indices: frozensets cost per face
+    faces = _iter_cliques(arrows, tuple(map(and_, masks, _walk_tables(n)[3])), n)
+    next(faces)  # the empty face
+    for face, _ in faces:
         sigma = [arrows[v] for v in face]
         covered = 0
         for a in sigma:
@@ -409,32 +398,6 @@ def _has_circuit(
     return False
 
 
-def _circuit_faces(
-    n: int, arrows: Sequence[Arrow], masks: Sequence[int]
-) -> Iterator[tuple[int, ...]]:
-    """Arrow indices of the faces that contain a circuit, in the order of
-    ``enumerate_faces``: its DFS, skipping every subtree whose faces are
-    all forests."""
-    prefix: list[int] = []
-
-    def rec(face: int, cand: int, closed: bool) -> Iterator[tuple[int, ...]]:
-        if closed:
-            yield tuple(prefix)
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            sub = cand & masks[v]
-            if closed or _has_circuit(n, arrows, masks, sub, face | low):
-                prefix.append(v)
-                yield from rec(
-                    face | low, sub, closed or _has_circuit(n, arrows, masks, 0, face | low)
-                )
-                prefix.pop()
-
-    yield from rec(0, (1 << len(masks)) - 1, False)
-
-
 def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> AxiomReport:
     """Check the square-face and forest conditions.
 
@@ -448,15 +411,20 @@ def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axiom
     head of one arrow and the tail of the other is never an edge; whether
     some clique contains a circuit is decided by a search for alternating
     cycles whose arrows are pairwise edges (``_has_circuit``), and this can
-    genuinely succeed for invalid codes.  Only then are the faces walked, on
-    the masks and in the order of ``enumerate_faces``, to report the first
-    (or every) face that contains a circuit.
+    genuinely succeed for invalid codes.  Only then are the faces walked, in
+    the order of ``enumerate_faces`` and skipping every subtree whose faces
+    are all forests, to report the first (or every) face with a circuit.
     """
     check_ambient_size(n)
     arrows, masks = adjacency(rs, n)
     witnesses = []
     if _has_circuit(n, arrows, masks, (1 << len(arrows)) - 1):
-        for face in _circuit_faces(n, arrows, masks):
+        faces = _iter_cliques(
+            arrows, masks, n, prune=lambda face, cand: _has_circuit(n, arrows, masks, cand, face)
+        )
+        for face, forest in faces:
+            if forest:
+                continue
             witnesses.append(
                 Violation(
                     "permissible",

@@ -9,7 +9,9 @@ around one arrow's span hold the other's tail and head, so 24 model cases
 are classified once and every row is an AND of node-range masks.
 Enumeration is depth-first over increasing arrow index; the resulting
 stream order (lexicographic on sorted arrow lists, empty face first) is
-part of the contract of ``enumerate_faces``.
+part of the contract of ``enumerate_faces``.  ``_iter_cliques`` is the one
+enumerating walk: the axioms list their matching and circuit witnesses
+with it, on narrowed masks or with a subtree prune.
 
 Face tables are counted, not walked: a clique count memoised on the
 candidate mask yields the (forward, backward) polynomial of every complex
@@ -28,7 +30,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from operator import or_
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .rules import CROSS, NEST, TYPE_WORDS, Arrow, RuleSet, arrows_of, pair_relation
 
@@ -164,25 +166,22 @@ def _iter_cliques(
     masks: tuple[int, ...],
     n: int,
     max_arrows: int | None = None,
+    prune: Callable[[int, int], bool] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], bool]]:
-    """Yield (arrow indices, is_forest).
+    """Yield (arrow indices, is_forest), the empty clique first.
 
-    DFS over increasing arrow index with candidate-set pruning; the forest
-    flag is maintained by an incremental union-find with rollback, counting
-    cycle-closing arrows instead of merging them.
+    The one enumerating walk over adjacency masks: DFS over increasing arrow
+    index with candidate-set pruning; the forest flag is maintained by an
+    incremental union-find with rollback (no ranks: a face spans at most
+    n + 1 nodes), counting cycle-closing arrows instead of merging them.  A
+    child that is still a forest is entered only when ``prune(face, cand)``
+    of its face and candidate masks holds; a child that closes a cycle is
+    always entered, as all its extensions contain that cycle.
     """
-    m = len(arrows)
     parent = list(range(n + 2))
-    size = [1] * (n + 2)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     prefix: list[int] = []
 
-    def rec(cand: int, cycles: int) -> Iterator[tuple[tuple[int, ...], bool]]:
+    def rec(face: int, cand: int, cycles: int) -> Iterator[tuple[tuple[int, ...], bool]]:
         yield tuple(prefix), cycles == 0
         if max_arrows is not None and len(prefix) >= max_arrows:
             return
@@ -190,28 +189,22 @@ def _iter_cliques(
             low = cand & -cand
             v = low.bit_length() - 1
             cand ^= low
-            tail, head = arrows[v]
-            ra, rb = find(tail), find(head)
-            merged = None
-            extra_cycle = 0
-            if ra == rb:
-                extra_cycle = 1
-            else:
-                if size[ra] < size[rb]:
-                    ra, rb = rb, ra
+            sub = cand & masks[v]
+            ra, rb = arrows[v]
+            while parent[ra] != ra:
+                ra = parent[ra]
+            while parent[rb] != rb:
+                rb = parent[rb]
+            if ra != rb:
+                if prune is not None and not cycles and not prune(face | low, sub):
+                    continue
                 parent[rb] = ra
-                size[ra] += size[rb]
-                merged = (ra, rb)
             prefix.append(v)
-            yield from rec(cand & masks[v], cycles + extra_cycle)
+            yield from rec(face | low, sub, cycles + (ra == rb))
             prefix.pop()
-            if merged is not None:
-                ra, rb = merged
-                parent[rb] = rb
-                size[ra] -= size[rb]
+            parent[rb] = rb  # a no-op when the arrow closed a cycle
 
-    full = (1 << m) - 1
-    yield from rec(full, 0)
+    yield from rec(0, (1 << len(arrows)) - 1, 0)
 
 
 def _end_tally(code: int, n: int, start: int) -> dict[tuple[int, int, int, int], int]:

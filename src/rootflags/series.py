@@ -16,6 +16,7 @@ saturated-face counts, u and v mark left/right node groups.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -616,17 +617,18 @@ def _alignment_factor(a1: int, b1: int, a2: int, b2: int) -> tuple[int, int]:
 
 def revlex_saturated_series(x_order: int, y_order: int, z_order: int) -> Series:
     """Saturated refined series of the revlex class, as the quadruple sum
-    over the endpoint-group sizes of the forward and backward arrows."""
+    over the endpoint-group sizes of the forward and backward arrows,
+    summed per exponent while the terms are generated."""
     ring = SeriesRing(("x", "y", "z"), (x_order, y_order, z_order))
-    terms: list[tuple[Exponents, int]] = [((0, 0, 0), 1)]
+    acc: Counter[Exponents] = Counter({(0, 0, 0): 1})
 
     for a in range(z_order):
         for b in range(z_order - a):
             zdeg = a + b + 1
             for j, cnt in enumerate(delannoy_poly(a, b)):
                 if cnt:
-                    terms.append(((j + 1, 0, zdeg), cnt))
-                    terms.append(((0, j + 1, zdeg), cnt))
+                    acc[j + 1, 0, zdeg] += cnt
+                    acc[0, j + 1, zdeg] += cnt
 
     for total in range(z_order - 1):
         for a1 in range(total + 1):
@@ -642,10 +644,10 @@ def revlex_saturated_series(x_order: int, y_order: int, z_order: int) -> Series:
                             if not d2:
                                 continue
                             base = d1 * d2
-                            terms.append(((j1 + 1, j2 + 1, zdeg), base * c0))
+                            acc[j1 + 1, j2 + 1, zdeg] += base * c0
                             if zdeg + 1 <= z_order:
-                                terms.append(((j1 + 1, j2 + 1, zdeg + 1), base * cz))
-    return ring.from_terms(terms).assert_integral()
+                                acc[j1 + 1, j2 + 1, zdeg + 1] += base * cz
+    return ring.from_terms(acc.items()).assert_integral()
 
 
 def revlex_facet_count(n: int, k: int) -> int:

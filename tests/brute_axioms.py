@@ -1,12 +1,16 @@
 """Brute-force axiom checks, kept as oracles for the bitmask checks in
 ``rootflags.axioms``.
 
-Every check here goes through the edge predicate ``is_edge`` pair by pair and
-walks ``Face`` objects from ``enumerate_faces``; the library decides the same
-questions on adjacency bitmasks.  The reports must agree exactly, witnesses
-and their order included.  The same holds for the support matchings of one
-(I, J) and the matchings of one restriction pattern, which the library also
-reads off the masks.
+Every check here goes through the edge predicate ``is_edge`` pair by pair,
+and none shares code with the library's clique walk: ``faces`` is a plain
+DFS over the neighbour masks that ``edge_masks`` builds from ``is_edge``, in
+the order of ``enumerate_faces``; ``is_forest`` strips leaves off each face
+from scratch; and a matching face is one whose arrows touch twice as many
+nodes as they number.  The library decides the same questions on adjacency
+bitmasks.  The reports must agree exactly, witnesses and their order
+included.  The same holds for the support matchings of one (I, J) and the
+matchings of one restriction pattern, which the library also reads off the
+masks.
 
 The K_{a,b} layer is kept here on frozensets of (left, right) edges: the
 spanning trees, the matchings inside an edge set, phi and phi_inverse, and
@@ -16,6 +20,7 @@ the alternating-cycle test; the library runs them on edge bitmasks.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from rootflags.axioms import (
@@ -29,12 +34,13 @@ from rootflags.axioms import (
     _disjoint_pairs,
     me_axioms,
 )
-from rootflags.complexes import enumerate_faces
 from rootflags.rules import Arrow, RuleSet, arrows_of, is_edge, pair_relation
 
 
+@lru_cache(maxsize=None)
 def edge_masks(rs: RuleSet, n: int) -> tuple[int, ...]:
-    """Per-arrow neighbour bitmasks from the pairwise edge predicate."""
+    """Per-arrow neighbour bitmasks from the pairwise edge predicate, once
+    per (code, n)."""
     arrows = arrows_of(n)
     masks = [0] * len(arrows)
     for i, j in itertools.combinations(range(len(arrows)), 2):
@@ -42,6 +48,35 @@ def edge_masks(rs: RuleSet, n: int) -> tuple[int, ...]:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
     return tuple(masks)
+
+
+def faces(rs: RuleSet, n: int) -> Iterator[tuple[Arrow, ...]]:
+    """Every face as its sorted arrows, the empty face first, in the order of
+    ``enumerate_faces``: a DFS that extends a face by each later arrow that is
+    a neighbour of all of its arrows."""
+    arrows = arrows_of(n)
+    masks = edge_masks(rs, n)
+
+    def rec(face: tuple[int, ...], common: int) -> Iterator[tuple[Arrow, ...]]:
+        yield tuple(arrows[v] for v in face)
+        for v in range(face[-1] + 1 if face else 0, len(arrows)):
+            if common >> v & 1:
+                yield from rec(face + (v,), common & masks[v])
+
+    yield from rec((), (1 << len(arrows)) - 1)
+
+
+def is_forest(face: Iterable[Arrow]) -> bool:
+    """Whether the arrows, as undirected edges, contain no cycle: stripping
+    the edges at nodes of degree one, round after round, leaves none."""
+    edges = list(face)
+    while edges:
+        ends = [x for arrow in edges for x in arrow]
+        kept = [arrow for arrow in edges if ends.count(arrow.tail) > 1 and ends.count(arrow.head) > 1]
+        if len(kept) == len(edges):
+            return False
+        edges = kept
+    return True
 
 
 def all_support_matchings(rs: RuleSet, tails, heads) -> list[Matching]:
@@ -94,9 +129,10 @@ def restriction_by_pattern(rs: RuleSet, pattern: tuple[str, ...]) -> frozenset[E
 
 
 def matching_faces(rs: RuleSet, n: int) -> Iterator[Matching]:
-    for face in enumerate_faces(rs, n):
-        if face.arrows and face.is_matching:
-            yield frozenset(face.arrows)
+    """The nonempty faces whose arrows touch twice as many nodes as they number."""
+    for face in faces(rs, n):
+        if face and len({x for arrow in face for x in arrow}) == 2 * len(face):
+            yield frozenset(face)
 
 
 def check_support_axiom(rs: RuleSet, n: int, all_witnesses: bool = False) -> AxiomReport:
@@ -174,16 +210,16 @@ def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axiom
                 )
         if witnesses and not all_witnesses:
             return AxiomReport("permissible", False, tuple(witnesses))
-    for face in enumerate_faces(rs, n):
-        heads = {a.head for a in face.arrows}
-        tails = {a.tail for a in face.arrows}
+    for face in faces(rs, n):
+        heads = {a.head for a in face}
+        tails = {a.tail for a in face}
         if heads & tails:
             witnesses.append(
-                Violation("permissible", {"face": _arrow_json(face.arrows), "reason": "not admissible"})
+                Violation("permissible", {"face": _arrow_json(face), "reason": "not admissible"})
             )
-        elif not face.is_forest:
+        elif not is_forest(face):
             witnesses.append(
-                Violation("permissible", {"face": _arrow_json(face.arrows), "reason": "contains a circuit"})
+                Violation("permissible", {"face": _arrow_json(face), "reason": "contains a circuit"})
             )
         if witnesses and not all_witnesses:
             break

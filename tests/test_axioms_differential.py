@@ -4,7 +4,8 @@ over all 64 codes, the invalid ones included.
 The reports must agree exactly: verdict, witnesses and their order.  This
 also catches a linkage check that wrongly passes, which the n = 5 verdicts
 alone would not show.  Support matching lists (in their order) and
-restriction ensembles are compared the same way.
+restriction ensembles are compared the same way, and so are the face stream
+with its forest flags and the pruned walk that lists circuit faces.
 """
 
 import itertools
@@ -16,11 +17,13 @@ import pytest
 import brute_axioms as brute
 from rootflags import axioms, rules
 from rootflags.axioms import AxiomReport, MultiplicityError
-from rootflags.complexes import adjacency
+from rootflags.complexes import _iter_cliques, adjacency, enumerate_faces
 from rootflags.rules import ALIASES, Arrow, RuleSet
 
 CODES = [RuleSet.from_code(code) for code in range(64)]
 CHECKS = ("check_permissible", "check_support_axiom", "check_linkage_axiom")
+# the codes with a circuit at n = 5, the least size with circuits, and at n = 6
+CIRCUIT_CODES = [RuleSet.from_code(code) for code in (28, 29, 30, 44, 45, 46)]
 
 
 def _has_circuit(rs, n):
@@ -100,17 +103,49 @@ def test_matching_faces_match_filtered_enumeration(n):
         assert list(axioms.matching_faces(rs, n)) == list(brute.matching_faces(rs, n)), rs.letters
 
 
-def test_circuit_witnesses_match_oracle_all_witnesses_n5():
-    # n = 5 is the least size with circuits, so the full witness listing
-    # of the circuit walk is compared here
-    n = 5
-    circuit_codes = [rs for rs in CODES if _has_circuit(rs, n)]
-    assert len(circuit_codes) == 6
-    for rs in circuit_codes:
+@pytest.mark.parametrize("n", [5, pytest.param(6, marks=pytest.mark.slow)])
+def test_circuit_witnesses_match_oracle_all_witnesses(n):
+    # the full witness listing of the circuit walk, from the least size
+    # with circuits; n = 6 has 19-42 witnesses per code
+    assert [rs for rs in CODES if _has_circuit(rs, n)] == CIRCUIT_CODES
+    for rs in CIRCUIT_CODES:
         want = brute.check_permissible(rs, n, all_witnesses=True)
         got = axioms.check_permissible(rs, n, all_witnesses=True)
         assert want.witnesses
         assert got.to_json_dict() == want.to_json_dict(), rs.letters
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_face_stream_and_forest_flags_match_oracle(n):
+    # all codes below n = 5, where every face is a forest, and the circuit
+    # codes at n = 5
+    for rs in CODES if n < 5 else CIRCUIT_CODES:
+        want = [(face, brute.is_forest(face)) for face in brute.faces(rs, n)]
+        got = [(face.arrows, face.is_forest) for face in enumerate_faces(rs, n)]
+        assert got == want, rs.letters
+        assert all(forest for _, forest in want) == (n < 5), rs.letters
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_circuit_prune_drops_only_circuit_free_subtrees(n):
+    # the pruned walk of check_permissible lists the same circuit faces, in
+    # the same order, as the unpruned stream, and the prune is asked only
+    # about children that are still forests; at n = 5 every circuit face is
+    # maximal, at n = 6 some extend
+    for rs in CIRCUIT_CODES:
+        arrows, masks = adjacency(rs, n)
+        asked = []
+
+        def prune(face, cand):
+            asked.append(face)
+            return axioms._has_circuit(n, arrows, masks, cand, face)
+
+        pruned = [face for face, forest in _iter_cliques(arrows, masks, n, prune=prune) if not forest]
+        want = [face.arrows for face in enumerate_faces(rs, n) if not face.is_forest]
+        assert [tuple(arrows[v] for v in face) for face in pruned] == want, rs.letters
+        assert want and asked, rs.letters
+        for face in asked:
+            assert brute.is_forest(a for v, a in enumerate(arrows) if face >> v & 1), rs.letters
 
 
 @pytest.fixture

@@ -14,17 +14,19 @@ listed by the clique walk of ``complexes._iter_cliques``.
 Bipartite objects live on K_{a,b} with left part 1..a and right part 1..b.
 The public functions take and return edges as plain (left, right) pairs and
 matchings/forests as frozensets of edges; inside, an edge set is an int with
-edge (l, r) at bit (l-1)*b + (r-1), so the matchings within a restriction,
-the spanning trees, phi, phi_inverse and the alternating-cycle test run on
-edge bitmasks and convert at the public boundary.
+edge (l, r) at bit (l-1)*b + (r-1), and the ensemble axioms, the
+matchings within a restriction and the spanning trees run on these edge
+masks.  Per K_{a,b} one table holds, for each spanning tree, the index
+masks of the matchings it alternates with and of those inside it, so that
+phi_inverse and tree compatibility are bit tests.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import and_
+from functools import lru_cache, reduce
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
 from .complexes import _adjacency, _count_order, _iter_cliques, _node_masks, _pair_classes
@@ -259,67 +261,78 @@ def matching_faces(rs: RuleSet, n: int) -> Iterator[Matching]:
 
 
 def _relinks(
-    n: int, masks: Sequence[int], sigma: Sequence[tuple[int, int]], k: int
+    index: Sequence[Sequence[int]], sigma: Sequence[tuple[int, int]], rests: Sequence[int], k: int
 ) -> tuple[bool, bool]:
     """Whether the matching face sigma, given as (tail, head) node pairs, can
     absorb the outside node k as a tail, and as a head, by relinking one
-    arrow so that the new arrow is an edge to every other arrow of sigma."""
-    index = _index_table(n)
-    arrows = [index[t][h] for t, h in sigma]
+    arrow so that the new arrow is an edge to every other arrow of sigma;
+    rests[i] is the AND of the neighbour masks of all arrows but the i-th."""
     as_tail = as_head = False
-    for i, (t, h) in enumerate(sigma):
-        rest = -1
-        for j, w in enumerate(arrows):
-            if j != i:
-                rest &= masks[w]
+    for (t, h), rest in zip(sigma, rests):
         as_tail = as_tail or bool(rest >> index[k][h] & 1)
         as_head = as_head or bool(rest >> index[t][k] & 1)
     return as_tail, as_head
+
+
+def _rests(masks: Sequence[int], face: Sequence[int]) -> list[int]:
+    """Per arrow of a face, the AND of the neighbour masks of the others."""
+    rests = []
+    for v in face:
+        rest = -1
+        for w in face:
+            if w != v:
+                rest &= masks[w]
+        rests.append(rest)
+    return rests
 
 
 def _linkage_holds_on_words(n: int, masks: Sequence[int]) -> bool:
     """Linkage decided once per T/H word: every matching of every word of
     length 2r <= n, placed on nodes 1..2r+1 around each outside node k,
     relinks to absorb k on both sides.  By uniformity this is the linkage
-    axiom for all matching faces at size n."""
-    for r in range(1, n // 2 + 1):
+    axiom for all matching faces at size n.  A single arrow always relinks,
+    so words start at r = 2."""
+    index = _index_table(n)
+    for r in range(2, n // 2 + 1):
         for word in _words(r):
             for matching in _word_matchings(n, masks, word):
                 for k in range(1, 2 * r + 2):
                     sigma = [
                         (t + 1 + (t + 1 >= k), h + 1 + (h + 1 >= k)) for t, h in matching
                     ]
-                    if not all(_relinks(n, masks, sigma, k)):
+                    rests = _rests(masks, [index[t][h] for t, h in sigma])
+                    if not all(_relinks(index, sigma, rests, k)):
                         return False
     return True
 
 
-def check_linkage_axiom(
-    rs: RuleSet, n: int, all_witnesses: bool = False
-) -> AxiomReport:
+def check_linkage_axiom(rs: RuleSet, n: int, all_witnesses: bool = False) -> AxiomReport:
     """For every nonempty matching face and every node k outside it, demand
     a relink that absorbs k as a tail and one that absorbs k as a head.
 
     The verdict is decided once per T/H word; only when it fails are the
     matching faces walked, in the order of ``matching_faces``, to list the
-    witnesses."""
+    witnesses.  A single arrow always relinks, so only faces of two or more
+    arrows are tested, each with its rests built once for every k."""
     check_ambient_size(n)
     arrows, masks = adjacency(rs, n)
     if _linkage_holds_on_words(n, masks):
         return AxiomReport("linkage", True)
+    index = _index_table(n)
     witnesses = []
     # the walk of matching_faces, on arrow indices: frozensets cost per face
     faces = _iter_cliques(arrows, tuple(map(and_, masks, _walk_tables(n)[3])), n)
     next(faces)  # the empty face
     for face, _ in faces:
+        if len(face) < 2:
+            continue
         sigma = [arrows[v] for v in face]
-        covered = 0
-        for a in sigma:
-            covered |= 1 << a.tail | 1 << a.head
+        rests = _rests(masks, face)
+        covered = sum(1 << a.tail | 1 << a.head for a in sigma)  # the nodes are distinct
         for k in range(1, n + 2):
             if covered >> k & 1:
                 continue
-            for side, ok in zip(("tail", "head"), _relinks(n, masks, sigma, k)):
+            for side, ok in zip(("tail", "head"), _relinks(index, sigma, rests, k)):
                 if ok:
                     continue
                 witnesses.append(
@@ -461,95 +474,91 @@ class BipartiteEnsemble:
         if self.a < 1 or self.b < 1:
             raise ValueError("both parts must be nonempty")
         for m in self.matchings:
-            lefts = [e[0] for e in m]
-            rights = [e[1] for e in m]
-            if len(set(lefts)) != len(m) or len(set(rights)) != len(m):
+            if len({l for l, _ in m}) != len(m) or len({r for _, r in m}) != len(m):
                 raise ValueError(f"{sorted(m)} is not a matching")
             if any(not (1 <= l <= self.a and 1 <= r <= self.b) for l, r in m):
                 raise ValueError(f"edge out of range in {sorted(m)}")
 
 
 def me_axioms(ensemble: BipartiteEnsemble, all_witnesses: bool = False) -> AxiomReport:
-    """Check the support, closure and linkage axioms for a matching family."""
-    witnesses = []
-    matchings = ensemble.matchings
-
-    def bail() -> bool:
-        return bool(witnesses) and not all_witnesses
-
-    for m in matchings:
-        for e in m:
-            if m - {e} not in matchings:
-                witnesses.append(
-                    Violation("closure", {"matching": sorted(m), "missing": sorted(m - {e})})
-                )
-                if bail():
-                    return AxiomReport("ensemble", False, tuple(witnesses))
-
-    for k in range(1, min(ensemble.a, ensemble.b) + 1):
-        for lefts in itertools.combinations(range(1, ensemble.a + 1), k):
-            for rights in itertools.combinations(range(1, ensemble.b + 1), k):
-                hits = [
-                    m
-                    for m in matchings
-                    if len(m) == k
-                    and {e[0] for e in m} == set(lefts)
-                    and {e[1] for e in m} == set(rights)
-                ]
-                if len(hits) != 1:
-                    witnesses.append(
-                        Violation(
-                            "support",
-                            {
-                                "I": list(lefts),
-                                "J": list(rights),
-                                "count": len(hits),
-                                "matchings": [sorted(m) for m in hits],
-                            },
-                        )
-                    )
-                    if bail():
-                        return AxiomReport("ensemble", False, tuple(witnesses))
-
-    for m in matchings:
-        if not m:
-            continue
-        used_left = {e[0] for e in m}
-        used_right = {e[1] for e in m}
-        free = [("L", v) for v in range(1, ensemble.a + 1) if v not in used_left]
-        free += [("R", v) for v in range(1, ensemble.b + 1) if v not in used_right]
-        for side, v in free:
-            ok = False
-            for e in m:
-                rest = m - {e}
-                rest_left = {x[0] for x in rest}
-                rest_right = {x[1] for x in rest}
-                if side == "L":
-                    candidates = [
-                        (v, r)
-                        for r in range(1, ensemble.b + 1)
-                        if r not in rest_right
-                    ]
-                else:
-                    candidates = [
-                        (l, v)
-                        for l in range(1, ensemble.a + 1)
-                        if l not in rest_left
-                    ]
-                for new in candidates:
-                    if new not in m and rest | {new} in matchings:
-                        ok = True
-                        break
-                if ok:
-                    break
-            if not ok:
-                witnesses.append(
-                    Violation("linkage", {"matching": sorted(m), "vertex": [side, v]})
-                )
-                if bail():
-                    return AxiomReport("ensemble", False, tuple(witnesses))
-
+    """Check the closure, support and linkage axioms for a matching family."""
+    a, b = ensemble.a, ensemble.b
+    family = frozenset(_edge_mask(m, a, b) for m in ensemble.matchings)
+    witnesses = _ensemble_violations(a, b, family, all_witnesses)
     return AxiomReport("ensemble", not witnesses, tuple(witnesses))
+
+
+def _ensemble_violations(
+    a: int, b: int, family: frozenset[int], all_witnesses: bool = False
+) -> list[Violation]:
+    """The closure, support and linkage violations, in that order, of a
+    family of matchings of K_{a,b} as edge masks: all of them, or the first.
+
+    Closure: each matching less any one edge is in the family.  Support:
+    each k-subset pair of the parts is the vertex mask of exactly one
+    matching.  Linkage: a vertex outside a nonempty matching is absorbed by
+    trading one edge for an edge at that vertex; as the family holds only
+    matchings, a trade found in it is a matching.
+    """
+    stars = _stars(a, b)[0]
+    witnesses: list[Violation] = []
+
+    def bail(axiom: str, detail: dict) -> bool:
+        witnesses.append(Violation(axiom, detail))
+        return not all_witnesses
+
+    def edges(m: int) -> list[BipartiteEdge]:
+        return sorted(_edge_set(m, b))
+
+    for m in family:
+        for k in _ones(m):
+            if m ^ 1 << k not in family and bail(
+                "closure", {"matching": edges(m), "missing": edges(m ^ 1 << k)}
+            ):
+                return witnesses
+    by_vertices: dict[int, list[int]] = {}
+    for m in family:
+        key = sum(1 << v for v, star in enumerate(stars) if star & m)
+        by_vertices.setdefault(key, []).append(m)
+    for k in range(1, min(a, b) + 1):
+        for lefts, rights in itertools.product(
+            itertools.combinations(range(a), k), itertools.combinations(range(b), k)
+        ):
+            hits = by_vertices.get(sum(1 << l for l in lefts) + sum(1 << a + r for r in rights), [])
+            if len(hits) != 1 and bail("support", {
+                "I": [l + 1 for l in lefts],
+                "J": [r + 1 for r in rights],
+                "count": len(hits),
+                "matchings": sorted(map(edges, hits)),
+            }):
+                return witnesses
+    for m in family:
+        rests = [m ^ 1 << k for k in _ones(m)]
+        for v, star in enumerate(stars):
+            if m and not star & m and not any(
+                rest | 1 << e in family for rest in rests for e in _ones(star)
+            ):
+                vertex = ["L", v + 1] if v < a else ["R", v - a + 1]
+                if bail("linkage", {"matching": edges(m), "vertex": vertex}):
+                    return witnesses
+    return witnesses
+
+
+def _ones(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a mask, low to high."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@lru_cache(maxsize=64)
+def _stars(a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per vertex of K_{a,b}, the left part first, the mask of its edges;
+    per edge, the mask of the edges that share no vertex with it."""
+    stars = tuple((1 << b) - 1 << l * b for l in range(a))
+    stars += tuple(sum(1 << l * b + r for l in range(a)) for r in range(b))
+    return stars, tuple(~(stars[k // b] | stars[a + k % b]) for k in range(a * b))
 
 
 def _edge_mask(edges: Iterable[BipartiteEdge], a: int, b: int) -> int:
@@ -562,13 +571,7 @@ def _edge_mask(edges: Iterable[BipartiteEdge], a: int, b: int) -> int:
 
 def _edge_set(mask: int, b: int) -> EdgeSet:
     """The edge set of an edge mask of K_{a,b}."""
-    edges = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        l, r = divmod(low.bit_length() - 1, b)
-        edges.append((l + 1, r + 1))
-    return frozenset(edges)
+    return frozenset((k // b + 1, k % b + 1) for k in _ones(mask))
 
 
 @lru_cache(maxsize=1024)
@@ -582,12 +585,9 @@ def _matchings_in(a: int, b: int, edges: int, adjacent: Sequence[int] | None = N
     """The matchings of K_{a,b} inside an edge mask whose edges are pairwise
     adjacent (per edge, the mask of its neighbours; default: all edges), as
     edge masks, the empty matching first."""
-    row = (1 << b) - 1
-    column = sum(1 << l * b for l in range(a))
-    keep = [
-        ~(row << k // b * b | column << k % b) & (-1 if adjacent is None else adjacent[k])
-        for k in range(a * b)
-    ]
+    keep = _stars(a, b)[1]
+    if adjacent is not None:
+        keep = tuple(map(and_, keep, adjacent))
     found: list[int] = []
 
     def rec(cand: int, face: int) -> None:
@@ -601,15 +601,10 @@ def _matchings_in(a: int, b: int, edges: int, adjacent: Sequence[int] | None = N
     return found
 
 
-def _phi(a: int, b: int, trees: Iterable[int]) -> frozenset[int]:
-    """``phi`` on edge masks."""
-    return frozenset(m for tree in trees for m in _matchings_in(a, b, tree))
-
-
 def phi(trees: Iterable[EdgeSet], a: int, b: int) -> BipartiteEnsemble:
     """Union over the trees of all matchings contained in each tree."""
-    family = _phi(a, b, [_edge_mask(tree, a, b) for tree in trees])
-    return BipartiteEnsemble(a, b, _edge_family(b, family))
+    family = {m for tree in trees for m in _matchings_in(a, b, _edge_mask(tree, a, b))}
+    return BipartiteEnsemble(a, b, _edge_family(b, frozenset(family)))
 
 
 def spanning_trees(a: int, b: int) -> list[EdgeSet]:
@@ -620,56 +615,19 @@ def spanning_trees(a: int, b: int) -> list[EdgeSet]:
 @lru_cache(maxsize=64)
 def _spanning_trees(a: int, b: int) -> tuple[int, ...]:
     """The spanning trees of K_{a,b} as edge masks, in the order of the
-    (a+b-1)-subsets of the edge bits."""
+    (a+b-1)-subsets of the edge bits: the subsets that touch every vertex
+    and whose edges all join the first left vertex."""
+    stars = _stars(a, b)[0]
     out = []
     for combo in itertools.combinations(range(a * b), a + b - 1):
-        parent = list(range(a + b))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        for k in combo:
-            l, r = divmod(k, b)
-            ra, rb = find(l), find(a + r)
-            if ra == rb:
-                break
-            parent[ra] = rb
-        else:
-            out.append(sum(1 << k for k in combo))
+        edges = sum(1 << k for k in combo)
+        joined, grown = 0, stars[0] & edges
+        while grown != joined:
+            joined = grown
+            grown = edges & reduce(or_, (star for star in stars if star & joined))
+        if joined == edges and all(star & edges for star in stars):
+            out.append(edges)
     return tuple(out)
-
-
-@lru_cache(maxsize=8192)
-def _alternating_cycle(a: int, b: int, first: int, second: int) -> bool:
-    """Whether two edge masks of K_{a,b} have a simple cycle of length >= 4
-    whose edges alternate between them.
-
-    With first's edges directed left to right and second's right to left,
-    such a cycle is a directed cycle through at least two right vertices;
-    it is searched from its least left vertex by a path DFS on vertex masks.
-    """
-    right_of = [first >> l * b & (1 << b) - 1 for l in range(a)]
-    left_of = [sum((second >> l * b + r & 1) << l for l in range(a)) for r in range(b)]
-
-    def from_left(start: int, l: int, lefts: int, rights: int) -> bool:
-        step = right_of[l] & ~rights
-        while step:
-            low = step & -step
-            step ^= low
-            back = left_of[low.bit_length() - 1]
-            if rights and back >> start & 1:
-                return True
-            back &= ~lefts & -(2 << start)
-            while back:
-                nxt = back & -back
-                back ^= nxt
-                if from_left(start, nxt.bit_length() - 1, lefts | nxt, rights | low):
-                    return True
-        return False
-
-    return any(from_left(l, l, 1 << l, 0) for l in range(a))
 
 
 def postnikov_compatible(first: EdgeSet, second: EdgeSet) -> bool:
@@ -683,18 +641,54 @@ def postnikov_compatible(first: EdgeSet, second: EdgeSet) -> bool:
     first_mask, second_mask = (
         _edge_mask(((left[l], right[r]) for l, r in edges), a, b) for edges in (first, second)
     )
-    return not _alternating_cycle(a, b, first_mask, second_mask)
+    # the second's edges on an alternating cycle are a matching
+    return not any(
+        _alternates(a, b, first_mask, m) for m in _matchings_in(a, b, second_mask) if m & m - 1
+    )
 
 
-def _compatible_trees(a: int, b: int, family: Iterable[int]) -> list[int]:
-    """The spanning trees of K_{a,b} with no alternating cycle with any
-    matching of the family (edge masks)."""
-    nonempty = [m for m in family if m]
-    return [
-        tree
-        for tree in _spanning_trees(a, b)
-        if not any(_alternating_cycle(a, b, tree, m) for m in nonempty)
-    ]
+def _alternates(a: int, b: int, edges: int, matching: int) -> bool:
+    """Whether an edge mask and a matching of K_{a,b} have a simple cycle of
+    length >= 4 whose edges alternate between them.  As the matching pairs
+    each right vertex r with at most one left vertex m(r), this is a cycle
+    of the digraph on the left vertices with an arc l -> m(r) for each edge
+    (l, r) with m(r) != l, that is, a walk of length a."""
+    partner = [0] * b
+    for k in _ones(matching):
+        partner[k % b] = 1 << k // b
+    arcs = [0] * a
+    for k in _ones(edges):
+        arcs[k // b] |= partner[k % b] & ~(1 << k // b)
+    walks = (1 << a) - 1  # the left vertices that start a walk of length i
+    for _ in range(a):
+        walks = sum(1 << l for l in range(a) if arcs[l] & walks)
+    return walks != 0
+
+
+@lru_cache(maxsize=16)
+def _tree_table(a: int, b: int) -> tuple[dict[int, int], tuple[tuple[int, int, int], ...]]:
+    """The matchings of K_{a,b} as one-bit index masks, and per spanning tree
+    (in order) a row: the tree, the index mask of the matchings of two or
+    more edges it has an alternating cycle with, and that of the matchings
+    inside it.  Two trees alternate when one alternates with a matching
+    inside the other."""
+    index = {m: 1 << i for i, m in enumerate(_matchings_in(a, b, (1 << a * b) - 1))}
+    rows = []
+    for tree in _spanning_trees(a, b):
+        conflicts = sum(bit for m, bit in index.items() if m & m - 1 and _alternates(a, b, tree, m))
+        rows.append((tree, conflicts, sum(index[m] for m in _matchings_in(a, b, tree))))
+    return index, tuple(rows)
+
+
+def _compatible_trees(
+    a: int, b: int, family: Iterable[int]
+) -> tuple[int, list[tuple[int, int, int]]]:
+    """A set of matchings of K_{a,b} (edge masks) as one index mask of
+    ``_tree_table``, and the rows of the table whose conflicts miss it: the
+    spanning trees with no alternating cycle with any of the matchings."""
+    index, table = _tree_table(a, b)
+    bits = sum(map(index.__getitem__, family))
+    return bits, [row for row in table if not row[1] & bits]
 
 
 def phi_inverse(ensemble: BipartiteEnsemble) -> frozenset[EdgeSet]:
@@ -707,7 +701,20 @@ def phi_inverse(ensemble: BipartiteEnsemble) -> frozenset[EdgeSet]:
         raise ValueError(f"not a matching ensemble: {report.to_json_dict()}")
     a, b = ensemble.a, ensemble.b
     family = [_edge_mask(m, a, b) for m in ensemble.matchings]
-    return frozenset(_edge_set(tree, b) for tree in _compatible_trees(a, b, family))
+    return frozenset(_edge_set(tree, b) for tree, _, _ in _compatible_trees(a, b, family)[1])
+
+
+@lru_cache(maxsize=4096)
+def _pattern_arrows(pattern: tuple[str, ...]) -> tuple[int, int, int, tuple[int, ...], int]:
+    """The part of a restriction that does not depend on the code: n, |I|,
+    |J|, the count-order indices of the arrows from the pattern's tail
+    positions to its head positions, tails in order, and their mask."""
+    n = max(len(pattern) - 1, 0)
+    leaving, entering = _node_masks(n, _count_order(n))  # (t, h) is leaving[t] & entering[h]
+    tails = [p for p, letter in enumerate(pattern, 1) if letter == "T"]
+    heads = [p for p, letter in enumerate(pattern, 1) if letter == "H"]
+    arrows = tuple((leaving[t] & entering[h]).bit_length() - 1 for t in tails for h in heads)
+    return n, len(tails), len(heads), arrows, sum(1 << v for v in arrows)
 
 
 @lru_cache(maxsize=100000)
@@ -718,20 +725,13 @@ def _restriction_by_pattern(code: int, pattern: tuple[str, ...]) -> frozenset[in
     arrows from the pattern's tail positions to its head positions, with the
     pattern placed on nodes 1..len(pattern), and depend only on the
     adjacency among those arrows."""
-    n = max(len(pattern) - 1, 0)
+    n, a, b, arrows, start = _pattern_arrows(pattern)
     masks = _adjacency(code, n, _count_order(n))[1]  # cached by the face tables of V_n
-    leaving, entering = _node_masks(n, _count_order(n))  # (t, h) is leaving[t] & entering[h]
-    tails = [p for p, letter in enumerate(pattern, 1) if letter == "T"]
-    heads = [p for p, letter in enumerate(pattern, 1) if letter == "H"]
-    arrows = tuple((leaving[t] & entering[h]).bit_length() - 1 for t in tails for h in heads)
-    start = sum(1 << v for v in arrows)
-    return _family(len(tails), len(heads), arrows, tuple(masks[v] & start for v in arrows))
+    return _family(a, b, arrows, tuple(masks[v] & start for v in arrows))
 
 
 @lru_cache(maxsize=4096)
-def _family(
-    a: int, b: int, arrows: tuple[int, ...], restricted: tuple[int, ...]
-) -> frozenset[int]:
+def _family(a: int, b: int, arrows: tuple[int, ...], restricted: tuple[int, ...]) -> frozenset[int]:
     """The matchings of K_{a,b}, as edge masks, whose arrows are pairwise
     edges: edge bit k is the k-th arrow, and restricted holds its
     neighbours among the arrows, as an arrow mask."""
@@ -754,6 +754,5 @@ def restriction_ensemble(
     """Matchings of the complex inside I x J, relabeled to K_{|I|,|J|}
     (sorted I maps to the left part, sorted J to the right part)."""
     pattern = _trace(tails, heads)[1]
-    a = pattern.count("T")
-    b = len(pattern) - a
+    _, a, b, _, _ = _pattern_arrows(pattern)
     return BipartiteEnsemble(a, b, _edge_family(b, _restriction_by_pattern(rs.code, pattern)))

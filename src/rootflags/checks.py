@@ -12,19 +12,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
+from operator import or_
 from typing import Callable, Iterable, Sequence
 
 from . import series as srs
-from .axioms import (
-    BipartiteEnsemble,
-    _alternating_cycle,
-    _compatible_trees,
-    _edge_family,
-    _phi,
-    _restriction_by_pattern,
-    me_axioms,
-)
+from .axioms import _compatible_trees, _ensemble_violations, _restriction_by_pattern
 from .complexes import (
     _count_order,
     _end_tally,
@@ -622,27 +616,33 @@ def check_excess_formula(zorder: int) -> CheckResult:
 
 
 def check_matching_ensembles(zorder: int) -> CheckResult:
+    patterns = []
+    for a, b in itertools.product((1, 2, 3), repeat=2):
+        nodes = range(1, a + b + 1)
+        for tails in itertools.combinations(nodes, a):
+            heads = tuple(x for x in nodes if x not in tails)
+            patterns.append((a, b, tails, heads, tuple("TH"[x in heads] for x in nodes)))
     bad = []
     seen: set = set()
     for rs in valid_rulesets():
-        for a, b in itertools.product((1, 2, 3), repeat=2):
-            for positions in itertools.combinations(range(1, a + b + 1), a):
-                tails = positions
-                heads = tuple(x for x in range(1, a + b + 1) if x not in positions)
-                pattern = tuple("T" if x in positions else "H" for x in range(1, a + b + 1))
-                family = _restriction_by_pattern(rs.code, pattern)  # edge masks
-                if (a, b, family) in seen:
-                    continue
-                seen.add((a, b, family))
-                if not me_axioms(BipartiteEnsemble(a, b, _edge_family(b, family))).passed:
-                    bad.append((rs.letters, tails, heads, "axioms"))
-                    continue
-                trees = _compatible_trees(a, b, family)
-                if _phi(a, b, trees) != family:
-                    bad.append((rs.letters, tails, heads, "phi-roundtrip"))
-                for t1, t2 in itertools.combinations_with_replacement(trees, 2):
-                    if _alternating_cycle(a, b, t1, t2):
-                        bad.append((rs.letters, tails, heads, "postnikov"))
+        for a, b, tails, heads, pattern in patterns:
+            family = _restriction_by_pattern(rs.code, pattern)  # edge masks
+            if (a, b, family) in seen:
+                continue
+            seen.add((a, b, family))
+            if _ensemble_violations(a, b, family):
+                bad.append((rs.letters, tails, heads, "axioms"))
+                continue
+            # on index masks: phi ORs the matchings inside the trees, and two
+            # trees alternate when one conflicts with a matching inside the other
+            bits, trees = _compatible_trees(a, b, family)
+            if reduce(or_, (inside for _, _, inside in trees), 0) != bits:
+                bad.append((rs.letters, tails, heads, "phi-roundtrip"))
+            for first, second in itertools.combinations_with_replacement(trees, 2):
+                if first[1] & second[2]:
+                    bad.append((rs.letters, tails, heads, "postnikov"))
+    if not seen:
+        bad.append("compared-nothing")
     return _result(
         "matching-ensembles",
         bad,

@@ -13,8 +13,11 @@ matchings of one restriction pattern, which the library also reads off the
 masks.
 
 The K_{a,b} layer is kept here on frozensets of (left, right) edges: the
-spanning trees, the matchings inside an edge set, phi and phi_inverse, and
-the alternating-cycle test; the library runs them on edge bitmasks.
+matching-ensemble axioms (closure, support and linkage, each by its
+definition on edge sets), the spanning trees, the matchings inside an edge
+set, phi and phi_inverse, and the alternating-cycle test.  The library runs
+them on edge bitmasks: one mask kernel for the axioms, and per K_{a,b} a
+table of the matchings each spanning tree alternates with.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from rootflags.axioms import (
     Violation,
     _arrow_json,
     _disjoint_pairs,
-    me_axioms,
 )
 from rootflags.rules import Arrow, RuleSet, arrows_of, is_edge, pair_relation
 
@@ -308,6 +310,91 @@ def has_alternating_cycle(first: EdgeSet, second: EdgeSet) -> bool:
         if walk(w, u, True, {u, w}, {e}, 1):
             return True
     return False
+
+
+def me_axioms(ensemble: BipartiteEnsemble, all_witnesses: bool = False) -> AxiomReport:
+    """The closure, support and linkage axioms of a matching family, in that
+    order, on frozensets of edges; a support witness lists its matchings
+    sorted."""
+    witnesses = []
+    matchings = ensemble.matchings
+
+    def bail() -> bool:
+        return bool(witnesses) and not all_witnesses
+
+    for m in matchings:
+        for e in m:
+            if m - {e} not in matchings:
+                witnesses.append(
+                    Violation("closure", {"matching": sorted(m), "missing": sorted(m - {e})})
+                )
+                if bail():
+                    return AxiomReport("ensemble", False, tuple(witnesses))
+
+    for k in range(1, min(ensemble.a, ensemble.b) + 1):
+        for lefts in itertools.combinations(range(1, ensemble.a + 1), k):
+            for rights in itertools.combinations(range(1, ensemble.b + 1), k):
+                hits = [
+                    m
+                    for m in matchings
+                    if len(m) == k
+                    and {e[0] for e in m} == set(lefts)
+                    and {e[1] for e in m} == set(rights)
+                ]
+                if len(hits) != 1:
+                    witnesses.append(
+                        Violation(
+                            "support",
+                            {
+                                "I": list(lefts),
+                                "J": list(rights),
+                                "count": len(hits),
+                                "matchings": sorted(sorted(m) for m in hits),
+                            },
+                        )
+                    )
+                    if bail():
+                        return AxiomReport("ensemble", False, tuple(witnesses))
+
+    for m in matchings:
+        if not m:
+            continue
+        used_left = {e[0] for e in m}
+        used_right = {e[1] for e in m}
+        free = [("L", v) for v in range(1, ensemble.a + 1) if v not in used_left]
+        free += [("R", v) for v in range(1, ensemble.b + 1) if v not in used_right]
+        for side, v in free:
+            ok = False
+            for e in m:
+                rest = m - {e}
+                rest_left = {x[0] for x in rest}
+                rest_right = {x[1] for x in rest}
+                if side == "L":
+                    candidates = [
+                        (v, r)
+                        for r in range(1, ensemble.b + 1)
+                        if r not in rest_right
+                    ]
+                else:
+                    candidates = [
+                        (l, v)
+                        for l in range(1, ensemble.a + 1)
+                        if l not in rest_left
+                    ]
+                for new in candidates:
+                    if new not in m and rest | {new} in matchings:
+                        ok = True
+                        break
+                if ok:
+                    break
+            if not ok:
+                witnesses.append(
+                    Violation("linkage", {"matching": sorted(m), "vertex": [side, v]})
+                )
+                if bail():
+                    return AxiomReport("ensemble", False, tuple(witnesses))
+
+    return AxiomReport("ensemble", not witnesses, tuple(witnesses))
 
 
 def phi_inverse(ensemble: BipartiteEnsemble) -> frozenset[EdgeSet]:

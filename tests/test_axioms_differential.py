@@ -5,18 +5,23 @@ The reports must agree exactly: verdict, witnesses and their order.  This
 also catches a linkage check that wrongly passes, which the n = 5 verdicts
 alone would not show.  Support matching lists (in their order) and
 restriction ensembles are compared the same way, and so are the face stream
-with its forest flags and the pruned walk that lists circuit faces.
+with its forest flags and the pruned walk that lists circuit faces.  On
+K_{a,b}, the mask kernel of the matching-ensemble axioms meets the set-based
+oracle on every small family and on drawn ones, and the tree table meets the
+alternating-cycle oracle on every (spanning tree, matching) pair.
 """
 
 import itertools
+import json
 import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import brute_axioms as brute
-from rootflags import axioms, rules
-from rootflags.axioms import AxiomReport, MultiplicityError
+from rootflags import axioms, checks, rules
+from rootflags.axioms import AxiomReport, BipartiteEnsemble, MultiplicityError
 from rootflags.complexes import _iter_cliques, adjacency, enumerate_faces
 from rootflags.rules import ALIASES, Arrow, RuleSet
 
@@ -288,6 +293,133 @@ def test_postnikov_compatible_matches_oracle_on_ensemble_trees_and_matchings():
 
 def test_phi_and_phi_inverse_match_oracle():
     for ens in ensemble_families() + tuple(_k22_diagonal_ensembles()):
+        assert _assert_me_axioms_match_oracle(ens).passed, ens
         trees = brute.phi_inverse(ens)
         assert axioms.phi_inverse(ens) == trees, ens
         assert axioms.phi(trees, ens.a, ens.b) == brute.phi(trees, ens.a, ens.b) == ens
+
+
+def _all_matchings(a, b):
+    edges = {(l, r) for l in range(1, a + 1) for r in range(1, b + 1)}
+    return sorted(brute.matchings_within(edges), key=sorted)
+
+
+def _vertices(matching):
+    return {l for l, _ in matching}, {r for _, r in matching}
+
+
+def _witness_keys(report):
+    return sorted(json.dumps(w.to_json_dict(), sort_keys=True) for w in report.witnesses)
+
+
+def _assert_me_axioms_match_oracle(ens):
+    """Compare the mask kernel with the oracle on one family; return the
+    oracle's report with every witness."""
+    want = brute.me_axioms(ens, all_witnesses=True)
+    got = axioms.me_axioms(ens, all_witnesses=True)
+    assert got.passed == want.passed, ens
+    assert _witness_keys(got) == _witness_keys(want), ens
+    # the first witness may differ in order, not in kind
+    first = axioms.me_axioms(ens)
+    assert first.passed == want.passed and len(first.witnesses) == (not want.passed), ens
+    if not want.passed:
+        assert first.witnesses[0].axiom == want.witnesses[0].axiom, ens
+        assert _witness_keys(first)[0] in _witness_keys(want), ens
+    return want
+
+
+def test_me_axioms_match_oracle_on_every_small_family():
+    # every family of matchings of K_{a,b} with a*b <= 4: 2^7 on K_{2,2};
+    # linkage fails on 152 of them, never first
+    firsts, kinds = set(), set()
+    families = 0
+    for a, b in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (4, 1), (2, 2)]:
+        matchings = _all_matchings(a, b)
+        for size in range(len(matchings) + 1):
+            for chosen in itertools.combinations(matchings, size):
+                want = _assert_me_axioms_match_oracle(BipartiteEnsemble(a, b, frozenset(chosen)))
+                firsts.add(want.witnesses[0].axiom if want.witnesses else "pass")
+                kinds |= {w.axiom for w in want.witnesses}
+                families += 1
+    assert families == 4 + 2 * 8 + 2 * 16 + 2 * 32 + 128
+    assert firsts == {"pass", "closure", "support"}
+    assert kinds == {"closure", "support", "linkage"}
+
+
+@st.composite
+def _drawn_ensembles(draw):
+    """A family on K_{2,3}, K_{3,2} or K_{3,3}: any set of matchings (mostly
+    failing closure), a set closed under taking submatchings (mostly failing
+    support), or a restriction ensemble with one matching swapped for
+    another on the same vertices (failing any axiom, or none)."""
+    a, b = draw(st.sampled_from([(2, 3), (3, 2), (3, 3)]))
+    matchings = _all_matchings(a, b)
+    mode = draw(st.sampled_from(["any", "closed", "swapped"]))
+    if mode == "swapped":
+        bases = [ens.matchings for ens in ensemble_families() if (ens.a, ens.b) == (a, b)]
+        base = draw(st.sampled_from(bases))
+        drop = draw(st.sampled_from(sorted(base, key=sorted)))
+        same = [m for m in matchings if m != drop and _vertices(m) == _vertices(drop)]
+        chosen = base - {drop} | ({draw(st.sampled_from(same))} if same else set())
+    else:
+        chosen = draw(st.sets(st.sampled_from(matchings)))
+        if mode == "closed":
+            chosen = {sub for m in chosen for sub in brute.matchings_within(m)}
+    return BipartiteEnsemble(a, b, frozenset(chosen))
+
+
+def _swapped(drop, new):
+    """The LEX_NN restriction ensemble on K_{3,3} with one matching swapped."""
+    base = axioms.restriction_ensemble(ALIASES["LEX_NN"], (1, 2, 3), (4, 5, 6)).matchings
+    return BipartiteEnsemble(3, 3, base - {frozenset(drop)} | {frozenset(new)})
+
+
+# a family of K_{3,3} whose first violation is of each kind
+FAILING = {
+    "closure": _swapped([(1, 3), (2, 2)], [(1, 2), (2, 3)]),
+    "support": BipartiteEnsemble(3, 3, frozenset({frozenset(), frozenset({(1, 1)})})),
+    "linkage": _swapped([(1, 2), (3, 1)], [(1, 1), (3, 2)]),
+}
+
+
+def test_failing_examples_fail_first_where_named():
+    for axiom, ens in FAILING.items():
+        assert brute.me_axioms(ens).witnesses[0].axiom == axiom
+
+
+@settings(max_examples=100, deadline=None)
+@given(_drawn_ensembles())
+@example(FAILING["closure"])
+@example(FAILING["support"])
+@example(FAILING["linkage"])
+def test_me_axioms_match_oracle_on_drawn_families(ens):
+    _assert_me_axioms_match_oracle(ens)
+
+
+def test_tree_table_matches_oracle_on_every_tree_and_matching():
+    # every (spanning tree, matching) pair of K_{a,b}, a, b <= 3, not only
+    # the pairs that the restriction families reach
+    pairs = 0
+    for a, b in itertools.product(range(1, 4), repeat=2):
+        index, table = axioms._tree_table(a, b)
+        matchings = _all_matchings(a, b)
+        assert sorted(index) == sorted(axioms._edge_mask(m, a, b) for m in matchings)
+        assert [axioms._edge_set(tree, b) for tree, _, _ in table] == brute.spanning_trees(a, b)
+        for tree, conflicts, inside in table:
+            edges = axioms._edge_set(tree, b)
+            for m in matchings:
+                bit = index[axioms._edge_mask(m, a, b)]
+                assert bool(conflicts & bit) == brute.has_alternating_cycle(edges, m), (edges, m)
+                assert bool(inside & bit) == (m <= edges), (edges, m)
+                pairs += 1
+    assert pairs == 2 + 2 * 3 + 2 * 4 + 4 * 7 + 2 * 12 * 13 + 81 * 34
+
+
+def test_matching_ensembles_check_work(count_calls):
+    # the check's work, by counts: each distinct family once through the
+    # axiom kernel and the tree table
+    kernel = count_calls(checks, "_ensemble_violations")
+    trees = count_calls(checks, "_compatible_trees")
+    assert checks.check_matching_ensembles(5).passed
+    assert len(kernel) == len(trees) == 74
+    assert sum(len(axioms._compatible_trees(*args)[1]) for args in trees) == 375

@@ -84,6 +84,14 @@ def test_forward_saturated_delannoy_fails_when_it_compares_nothing(monkeypatch):
     assert result.detail == "1 mismatches; first: compared-nothing"
 
 
+def test_matching_ensembles_fails_when_it_compares_nothing(monkeypatch):
+    # with no valid code there is no restriction to check
+    monkeypatch.setattr(checks, "valid_rulesets", lambda: [])
+    result = checks.check_matching_ensembles(5)
+    assert not result.passed
+    assert result.detail == "1 mismatches; first: compared-nothing"
+
+
 def test_forward_saturated_delannoy_compares_at_zorder_0():
     result = checks.check_forward_saturated_delannoy(0)
     assert result.passed and result.detail.endswith("n <= 1")

@@ -7,9 +7,12 @@ I onto J) and the linkage axiom (a matching face can absorb any outside
 node by relinking one arrow endpoint).  Both are decided here
 exhaustively on the adjacency bitmasks of ``complexes.adjacency``, together
 with the underlying matching-ensemble axioms on complete bipartite graphs
-and the spanning-tree correspondence.  Verdicts are decided per T/H word
-or by a circuit search; the matching faces and the circuit witnesses are
-listed by the clique walk of ``complexes._iter_cliques``.
+and the spanning-tree correspondence.  All three verdicts are decided
+from one table of the T/H words and their matchings (``_word_table``):
+support counts each word's matchings, linkage relinks them, and a circuit
+is a pair of matchings of one word whose arrows are pairwise edges.  The
+matching faces and the circuit witnesses are listed by the clique walk of
+``complexes._iter_cliques``.
 
 Bipartite objects live on K_{a,b} with left part 1..a and right part 1..b.
 The public functions take and return edges as plain (left, right) pairs and
@@ -207,6 +210,20 @@ def _word_matchings(
     return found
 
 
+@lru_cache(maxsize=1)
+def _word_table(code: int, n: int) -> dict[str, list[tuple[tuple[int, int], ...]]]:
+    """Every T/H word of length at most n+1, by length, with its
+    ``_word_matchings`` on the masks of V_n.  Permissibility, support and
+    linkage all read it, so the checks of one ``verify`` call solve each
+    word once; only the last (code, n) is kept."""
+    masks = _adjacency(code, n)[1]
+    return {
+        word: _word_matchings(n, masks, word)
+        for k in range(1, (n + 1) // 2 + 1)
+        for word in _words(k)
+    }
+
+
 def check_support_axiom(
     rs: RuleSet, n: int, all_witnesses: bool = False
 ) -> AxiomReport:
@@ -214,17 +231,13 @@ def check_support_axiom(
     equal-size node sets.
 
     By uniformity the matchings depend only on the T/H word that I and J
-    trace on the number line, so each word is solved once.  Only when some
-    word has no or several matchings are the (I, J) pairs walked, in order,
-    to list the witnesses with the word's matchings relabeled onto them.
+    trace on the number line, so each word is solved once (``_word_table``).
+    Only when some word has no or several matchings are the (I, J) pairs
+    walked, in order, to list the witnesses with the word's matchings
+    relabeled onto them.
     """
     check_ambient_size(n)
-    _, masks = adjacency(rs, n)
-    by_word = {
-        word: _word_matchings(n, masks, word)
-        for k in range(1, (n + 1) // 2 + 1)
-        for word in _words(k)
-    }
+    by_word = _word_table(rs.code, n)
     witnesses = []
     if any(len(matchings) != 1 for matchings in by_word.values()):
         for tails, heads in _disjoint_pairs(n):
@@ -286,23 +299,25 @@ def _rests(masks: Sequence[int], face: Sequence[int]) -> list[int]:
     return rests
 
 
-def _linkage_holds_on_words(n: int, masks: Sequence[int]) -> bool:
+def _linkage_holds_on_words(code: int, n: int) -> bool:
     """Linkage decided once per T/H word: every matching of every word of
-    length 2r <= n, placed on nodes 1..2r+1 around each outside node k,
-    relinks to absorb k on both sides.  By uniformity this is the linkage
-    axiom for all matching faces at size n.  A single arrow always relinks,
-    so words start at r = 2."""
+    length 2r <= n in ``_word_table``, placed on nodes 1..2r+1 around each
+    outside node k, relinks to absorb k on both sides.  By uniformity this
+    is the linkage axiom for all matching faces at size n.  A single arrow
+    always relinks, so words start at r = 2."""
+    masks = _adjacency(code, n)[1]
     index = _index_table(n)
-    for r in range(2, n // 2 + 1):
-        for word in _words(r):
-            for matching in _word_matchings(n, masks, word):
-                for k in range(1, 2 * r + 2):
-                    sigma = [
-                        (t + 1 + (t + 1 >= k), h + 1 + (h + 1 >= k)) for t, h in matching
-                    ]
-                    rests = _rests(masks, [index[t][h] for t, h in sigma])
-                    if not all(_relinks(index, sigma, rests, k)):
-                        return False
+    for word, matchings in _word_table(code, n).items():
+        if not 4 <= len(word) <= n:
+            continue
+        for matching in matchings:
+            for k in range(1, len(word) + 2):
+                sigma = [
+                    (t + 1 + (t + 1 >= k), h + 1 + (h + 1 >= k)) for t, h in matching
+                ]
+                rests = _rests(masks, [index[t][h] for t, h in sigma])
+                if not all(_relinks(index, sigma, rests, k)):
+                    return False
     return True
 
 
@@ -315,9 +330,9 @@ def check_linkage_axiom(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axi
     witnesses.  A single arrow always relinks, so only faces of two or more
     arrows are tested, each with its rests built once for every k."""
     check_ambient_size(n)
-    arrows, masks = adjacency(rs, n)
-    if _linkage_holds_on_words(n, masks):
+    if _linkage_holds_on_words(rs.code, n):
         return AxiomReport("linkage", True)
+    arrows, masks = adjacency(rs, n)
     index = _index_table(n)
     witnesses = []
     # the walk of matching_faces, on arrow indices: frozensets cost per face
@@ -352,63 +367,31 @@ def check_linkage_axiom(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axi
     return AxiomReport("linkage", not witnesses, tuple(witnesses))
 
 
-def _has_circuit(
-    n: int, arrows: Sequence[Arrow], masks: Sequence[int], cand: int, free: int = 0
-) -> bool:
-    """Whether the arrows in free, together with a clique of arrows in cand,
-    contain a circuit.  free must be a face and cand lie in the common
-    neighbourhood of its arrows.
+def _circuit_cores(code: int, n: int) -> list[tuple[tuple[int, int], ...]]:
+    """The simple cycles of the faces of V_n up to placement, per T/H word.
 
     A face with a cycle contains a simple one, and tails and heads of a face
-    are disjoint, so the cycle alternates t1 -> h1 <- t2 -> h2 <- ... <- t1.
-    Search such cycles from their least tail t1 by a path DFS: each arrow
-    taken from cand ANDs its mask into the candidates, and the cycle closes
-    at head h when the arrow (t1, h) is still free or a candidate.
+    are disjoint, so the cycle alternates t1 -> h1 <- t2 -> ... <- t1 on the
+    2r nodes of a word, r >= 2, and its 2r arrows split into two matchings
+    of that word that share no arrow.  Conversely, two distinct matchings of
+    a word whose arrows are pairwise edges hold such a cycle, on a shorter
+    word if they share an arrow.  So the cores are the unions of two
+    matchings of a ``_word_table`` word of which every arrow of one is a
+    neighbour of every arrow of the other (so none is shared), as 0-based
+    (tail, head) positions; by uniformity a core placed on any 2r nodes of
+    V_n is a face, and every simple cycle of a face is such a placement.
     """
-    leaving, entering = _node_masks(n, None)
-    above = [0] * (n + 3)  # above[t]: the arrows whose tail exceeds t
-    for t in range(n + 1, 0, -1):
-        above[t - 1] = above[t] | leaving[t]
-
-    def from_head(t1: int, h: int, cand: int, used: int) -> bool:
-        step = (cand | free) & entering[h] & above[t1]
-        while step:
-            low = step & -step
-            v = low.bit_length() - 1
-            step ^= low
-            t = arrows[v].tail
-            if used >> t & 1:
-                continue
-            nxt = cand if free >> v & 1 else cand & masks[v]
-            if from_tail(t1, t, nxt, used | 1 << t):
-                return True
-        return False
-
-    def from_tail(t1: int, t: int, cand: int, used: int) -> bool:
-        step = (cand | free) & leaving[t]
-        while step:
-            low = step & -step
-            v = low.bit_length() - 1
-            step ^= low
-            h = arrows[v].head
-            if used >> h & 1:
-                continue
-            nxt = cand if free >> v & 1 else cand & masks[v]
-            if (nxt | free) & leaving[t1] & entering[h] or from_head(t1, h, nxt, used | 1 << h):
-                return True
-        return False
-
-    for t1 in range(1, n + 2):
-        first = (cand | free) & leaving[t1]
-        while first:
-            low = first & -first
-            v = low.bit_length() - 1
-            first ^= low
-            h1 = arrows[v].head
-            nxt = cand if free >> v & 1 else cand & masks[v]
-            if from_head(t1, h1, nxt, 1 << t1 | 1 << h1):
-                return True
-    return False
+    masks = _adjacency(code, n)[1]
+    index = _index_table(n)
+    cores = []
+    for matchings in _word_table(code, n).values():
+        arrows = [[index[t + 1][h + 1] for t, h in m] for m in matchings]
+        bits = [sum(1 << v for v in m) for m in arrows]
+        common = [reduce(and_, (masks[v] for v in m)) for m in arrows]
+        for i, j in itertools.combinations(range(len(matchings)), 2):
+            if not bits[j] & ~common[i]:
+                cores.append(matchings[i] + matchings[j])
+    return cores
 
 
 def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> AxiomReport:
@@ -421,32 +404,44 @@ def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axiom
     contain the shared-endpoint pairs, and the two diagonals of a square are
     the two placements of one type word, of which each code picks one.
     For (c), every clique is admissible, since a pair in which a node is the
-    head of one arrow and the tail of the other is never an edge; whether
-    some clique contains a circuit is decided by a search for alternating
-    cycles whose arrows are pairwise edges (``_has_circuit``), and this can
-    genuinely succeed for invalid codes.  Only then are the faces walked, in
-    the order of ``enumerate_faces`` and skipping every subtree whose faces
-    are all forests, to report the first (or every) face with a circuit.
+    head of one arrow and the tail of the other is never an edge; some
+    clique contains a circuit exactly when some word of ``_word_table`` has
+    a circuit core (``_circuit_cores``), and this genuinely happens for
+    invalid codes.  Only then are the faces walked, in the order of
+    ``enumerate_faces``, to report the first (or every) face with a circuit:
+    a subtree is skipped when no placed core lies inside its face and
+    candidates together.
     """
     check_ambient_size(n)
+    cores = _circuit_cores(rs.code, n)
+    if not cores:
+        return AxiomReport("permissible", True)
     arrows, masks = adjacency(rs, n)
+    index = _index_table(n)
+    placed = [
+        sum(1 << index[nodes[t]][nodes[h]] for t, h in core)
+        for core in cores
+        # a core of 2r arrows spans 2r nodes
+        for nodes in itertools.combinations(range(1, n + 2), len(core))
+    ]
+
+    def prune(face: int, cand: int) -> bool:
+        outside = ~(face | cand)
+        return any(not core & outside for core in placed)
+
     witnesses = []
-    if _has_circuit(n, arrows, masks, (1 << len(arrows)) - 1):
-        faces = _iter_cliques(
-            arrows, masks, n, prune=lambda face, cand: _has_circuit(n, arrows, masks, cand, face)
-        )
-        for face, forest in faces:
-            if forest:
-                continue
-            witnesses.append(
-                Violation(
-                    "permissible",
-                    {"face": _arrow_json(arrows[v] for v in face), "reason": "contains a circuit"},
-                )
+    for face, forest in _iter_cliques(arrows, masks, n, prune=prune):
+        if forest:
+            continue
+        witnesses.append(
+            Violation(
+                "permissible",
+                {"face": _arrow_json(arrows[v] for v in face), "reason": "contains a circuit"},
             )
-            if not all_witnesses:
-                break
-    return AxiomReport("permissible", not witnesses, tuple(witnesses))
+        )
+        if not all_witnesses:
+            break
+    return AxiomReport("permissible", False, tuple(witnesses))
 
 
 def verify(rs: RuleSet, n: int, all_witnesses: bool = False) -> list[AxiomReport]:
@@ -717,7 +712,6 @@ def _pattern_arrows(pattern: tuple[str, ...]) -> tuple[int, int, int, tuple[int,
     return n, len(tails), len(heads), arrows, sum(1 << v for v in arrows)
 
 
-@lru_cache(maxsize=100000)
 def _restriction_by_pattern(code: int, pattern: tuple[str, ...]) -> frozenset[int]:
     """Relabeled matchings of a rule set within I x J, as edge masks of
     K_{|I|,|J|}, keyed by the tail/head pattern of sorted(I + J); uniformity
@@ -736,16 +730,7 @@ def _family(a: int, b: int, arrows: tuple[int, ...], restricted: tuple[int, ...]
     edges: edge bit k is the k-th arrow, and restricted holds its
     neighbours among the arrows, as an arrow mask."""
     adjacent = [sum(1 << k for k, w in enumerate(arrows) if mask >> w & 1) for mask in restricted]
-    return _interned_family(frozenset(_matchings_in(a, b, (1 << a * b) - 1, adjacent)))
-
-
-@lru_cache(maxsize=100000)
-def _interned_family(family: frozenset[int]) -> frozenset[int]:
-    """The first cached family equal to this one, so that patterns with equal
-    families share one object (the 2,108 patterns of the matching-ensembles
-    check have 274 restricted adjacencies and 72 distinct families, 74 with
-    their part sizes)."""
-    return family
+    return frozenset(_matchings_in(a, b, (1 << a * b) - 1, adjacent))
 
 
 def restriction_ensemble(

@@ -32,7 +32,7 @@ from math import comb
 from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .rules import CROSS, NEST, TYPE_WORDS, Arrow, RuleSet, arrows_of, pair_relation
+from .rules import CROSS, NEST, TYPE_WORDS, Arrow, RuleSet, _check_arrow, arrows_of, pair_relation
 
 DEFAULT_MAX_N = 10
 _ENV_CAP = "ROOTFLAGS_MAX_N"
@@ -427,8 +427,9 @@ def dimension_face_count(n: int, k: int) -> int:
 
 def excess_degree(rs: RuleSet, n: int, arrow: Arrow) -> int:
     """Number of neighbours of the arrow on four distinct nodes, by brute
-    force over V_n."""
+    force over V_n; raises ValueError for a loop or an arrow outside V_n."""
     arrow = Arrow(*arrow)
+    _check_arrow(arrow, n)
     count = 0
     for other in arrows_of(n):
         if other == arrow:
@@ -449,8 +450,10 @@ def _excess_degrees(code: int, n: int) -> list[tuple[Arrow, int]]:
 
 def excess_degree_formula(rs: RuleSet, n: int, arrow: Arrow) -> int:
     """Closed form for the excess degree in terms of p = i-1, q = j-i-1,
-    r = n+1-j for the underlying node pair i < j."""
+    r = n+1-j for the underlying node pair i < j; raises ValueError for a
+    loop or an arrow outside V_n."""
     arrow = Arrow(*arrow)
+    _check_arrow(arrow, n)
     i, j = arrow.span()
     p, q, r = i - 1, j - i - 1, n + 1 - j
 

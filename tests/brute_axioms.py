@@ -10,7 +10,9 @@ nodes as they number.  The library decides the same questions on adjacency
 bitmasks.  The reports must agree exactly, witnesses and their order
 included.  The same holds for the support matchings of one (I, J) and the
 matchings of one restriction pattern, which the library also reads off the
-masks.
+masks.  ``has_circuit`` searches alternating cycles by a path DFS on the
+masks of ``edge_masks``; the library decides circuits per T/H word instead,
+from pairs of a word's matchings.
 
 The K_{a,b} layer is kept here on frozensets of (left, right) edges: the
 matching-ensemble axioms (closure, support and linkage, each by its
@@ -79,6 +81,66 @@ def is_forest(face: Iterable[Arrow]) -> bool:
             return False
         edges = kept
     return True
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a mask, low to high."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def has_circuit(rs: RuleSet, n: int, cand: int | None = None, free: int = 0) -> bool:
+    """Whether the arrows in free, together with a clique of arrows in cand
+    (default: all arrows), contain a circuit, on the masks of ``edge_masks``.
+    free must be a face and cand lie in the common neighbourhood of its
+    arrows.
+
+    A face with a cycle contains a simple one, and tails and heads of a face
+    are disjoint, so the cycle alternates t1 -> h1 <- t2 -> h2 <- ... <- t1.
+    Search such cycles from their least tail t1 by a path DFS: each arrow
+    taken from cand ANDs its mask into the candidates, and the cycle closes
+    at head h when the arrow (t1, h) is still free or a candidate.
+    """
+    arrows = arrows_of(n)
+    masks = edge_masks(rs, n)
+    if cand is None:
+        cand = (1 << len(arrows)) - 1
+    leaving = [sum(1 << v for v, a in enumerate(arrows) if a.tail == x) for x in range(n + 2)]
+    entering = [sum(1 << v for v, a in enumerate(arrows) if a.head == x) for x in range(n + 2)]
+    above = [sum(leaving[t + 1:]) for t in range(n + 2)]  # above[t]: the arrows whose tail exceeds t
+
+    def from_head(t1: int, h: int, cand: int, used: int) -> bool:
+        step = (cand | free) & entering[h] & above[t1]
+        for v in _bits(step):
+            t = arrows[v].tail
+            if used >> t & 1:
+                continue
+            nxt = cand if free >> v & 1 else cand & masks[v]
+            if from_tail(t1, t, nxt, used | 1 << t):
+                return True
+        return False
+
+    def from_tail(t1: int, t: int, cand: int, used: int) -> bool:
+        step = (cand | free) & leaving[t]
+        for v in _bits(step):
+            h = arrows[v].head
+            if used >> h & 1:
+                continue
+            nxt = cand if free >> v & 1 else cand & masks[v]
+            if (nxt | free) & leaving[t1] & entering[h] or from_head(t1, h, nxt, used | 1 << h):
+                return True
+        return False
+
+    for t1 in range(1, n + 2):
+        first = (cand | free) & leaving[t1]
+        for v in _bits(first):
+            h1 = arrows[v].head
+            nxt = cand if free >> v & 1 else cand & masks[v]
+            if from_head(t1, h1, nxt, 1 << t1 | 1 << h1):
+                return True
+    return False
 
 
 def all_support_matchings(rs: RuleSet, tails, heads) -> list[Matching]:

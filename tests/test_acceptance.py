@@ -13,6 +13,7 @@ from rootflags.axioms import (
     check_linkage_axiom,
     check_support_axiom,
     support_matching,
+    verify,
 )
 from rootflags.checks import (
     check_backward_only_closed_form,
@@ -89,6 +90,21 @@ def test_criterion_1_classification():
         f"{len(passes)} codes pass SA+LA, {len(failures)} fail with witnesses, "
         f"{len(orbits())} orbits with census lex 3 / revlex 3 / a 4 / b 4 / c 1",
     )
+
+
+@pytest.mark.slow
+def test_verify_decides_the_classification_at_n9():
+    """All three reports of ``verify`` for every code at n = 9: the 34 valid
+    codes pass, and the 30 others fail with a witness."""
+    passes = 0
+    for code in range(64):
+        rs = RuleSet.from_code(code)
+        reports = verify(rs, 9)
+        passed = all(r.passed for r in reports)
+        assert passed == (classify(rs) != ClassLabel.INVALID), rs.letters
+        assert all(r.passed or r.witnesses for r in reports), rs.letters
+        passes += passed
+    assert passes == 34
 
 
 EXPECTED_SIGNATURES = {

@@ -1,5 +1,6 @@
 import pytest
 
+from rootflags import axioms
 from rootflags.axioms import (
     BipartiteEnsemble,
     MultiplicityError,
@@ -226,3 +227,14 @@ def test_equal_restriction_families_share_one_object():
     assert restriction_ensemble(REVLEX, (2, 5), (7, 9)).matchings is first
     other = restriction_ensemble(REVLEX, (1, 4), (2, 3)).matchings
     assert other != restriction_ensemble(LEX, (1, 4), (2, 3)).matchings
+
+
+def test_verify_solves_each_word_once(count_calls):
+    # permissibility, support and linkage all read one word table; code 30
+    # fails all three at n = 6, so their witness walks run too
+    axioms._word_table.cache_clear()
+    calls = count_calls(axioms, "_word_matchings")
+    reports = axioms.verify(RuleSet.from_code(30), 6)
+    assert not any(report.passed for report in reports)
+    words = [args[2] for args in calls]
+    assert len(words) == len(set(words)) == 2 + 6 + 20  # the words of 1, 2 and 3 tails

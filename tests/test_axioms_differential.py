@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 import brute_axioms as brute
 from rootflags import axioms, checks, rules
 from rootflags.axioms import AxiomReport, BipartiteEnsemble, MultiplicityError
-from rootflags.complexes import _iter_cliques, adjacency, enumerate_faces
+from rootflags.complexes import adjacency, enumerate_faces
 from rootflags.rules import ALIASES, Arrow, RuleSet
 
 CODES = [RuleSet.from_code(code) for code in range(64)]
@@ -32,8 +32,19 @@ CIRCUIT_CODES = [RuleSet.from_code(code) for code in (28, 29, 30, 44, 45, 46)]
 
 
 def _has_circuit(rs, n):
-    arrows, masks = adjacency(rs, n)
-    return axioms._has_circuit(n, arrows, masks, (1 << len(arrows)) - 1)
+    # the per-word verdict of check_permissible
+    return bool(axioms._circuit_cores(rs.code, n))
+
+
+@pytest.mark.parametrize(
+    "n", [*range(8), *(pytest.param(n, marks=pytest.mark.slow) for n in (8, 9))]
+)
+def test_circuit_verdicts_per_word_match_path_search(n):
+    # the circuit cores of the word table against the oracle's search for
+    # alternating cycles, for every code; circuits first appear at n = 5
+    circuits = [rs for rs in CODES if brute.has_circuit(rs, n)]
+    assert [rs for rs in CODES if _has_circuit(rs, n)] == circuits
+    assert circuits == (CIRCUIT_CODES if n >= 5 else [])
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -95,7 +106,7 @@ def test_reports_match_oracle_first_witness_n5():
             w.detail.get("reason") == "contains a circuit"
             for w in wants["check_permissible"].witnesses
         )
-        assert _has_circuit(rs, n) == circuit, rs.letters
+        assert _has_circuit(rs, n) == brute.has_circuit(rs, n) == circuit, rs.letters
         circuits += circuit
     # every check was compared on failing codes, not only on passing ones
     assert all(count > 0 for count in failed.values()), failed
@@ -132,24 +143,36 @@ def test_face_stream_and_forest_flags_match_oracle(n):
 
 
 @pytest.mark.parametrize("n", [5, 6])
-def test_circuit_prune_drops_only_circuit_free_subtrees(n):
+def test_circuit_prune_drops_only_circuit_free_subtrees(n, monkeypatch):
     # the pruned walk of check_permissible lists the same circuit faces, in
     # the same order, as the unpruned stream, and the prune is asked only
-    # about children that are still forests; at n = 5 every circuit face is
-    # maximal, at n = 6 some extend
+    # about children that are still forests, each answer that of the
+    # oracle's cycle search; at n = 5 every circuit face is maximal, at
+    # n = 6 some extend
+    walk = axioms._iter_cliques
     for rs in CIRCUIT_CODES:
-        arrows, masks = adjacency(rs, n)
+        arrows = adjacency(rs, n)[0]
         asked = []
 
-        def prune(face, cand):
-            asked.append(face)
-            return axioms._has_circuit(n, arrows, masks, cand, face)
+        def spied(arrows, masks, n, prune):
+            def checked(face, cand):
+                got = prune(face, cand)
+                assert got == brute.has_circuit(rs, n, cand, face), (rs.letters, face, cand)
+                asked.append((face, got))
+                return got
 
-        pruned = [face for face, forest in _iter_cliques(arrows, masks, n, prune=prune) if not forest]
+            return walk(arrows, masks, n, prune=checked)
+
+        monkeypatch.setattr(axioms, "_iter_cliques", spied)
+        report = axioms.check_permissible(rs, n, all_witnesses=True)
         want = [face.arrows for face in enumerate_faces(rs, n) if not face.is_forest]
-        assert [tuple(arrows[v] for v in face) for face in pruned] == want, rs.letters
+        assert [w.detail["face"] for w in report.witnesses] == [
+            [list(a) for a in sorted(face)] for face in want
+        ], rs.letters
         assert want and asked, rs.letters
-        for face in asked:
+        # both answers were compared
+        assert {got for _, got in asked} == {True, False}, rs.letters
+        for face, _ in asked:
             assert brute.is_forest(a for v, a in enumerate(arrows) if face >> v & 1), rs.letters
 
 

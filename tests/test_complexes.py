@@ -128,6 +128,15 @@ def test_excess_degree_example():
     assert excess_degree_formula(LEX, 4, Arrow(1, 2)) == 6
 
 
+@pytest.mark.parametrize("arrow", [(1, 9), (4, 5), (2, 2), (0, 1)])
+def test_excess_degree_refuses_arrows_outside_v_n(arrow):
+    # without the range check the closed form reads 51, 5, 5 and 5 here,
+    # and the brute force 3 for (1, 9) and 6 for (4, 5)
+    for degree in (excess_degree, excess_degree_formula):
+        with pytest.raises(ValueError):
+            degree(LEX, 3, arrow)
+
+
 def test_excess_signature_rows():
     assert excess_signature(LEX, 4).runs() == "1^6 2^4 3^2 4^4 6^4"
     assert excess_signature(SIMION_C, 4).runs() == "0^2 2^4 3^8 4^3 5^2 6^1"

@@ -16,7 +16,9 @@ with it, on narrowed masks or with a subtree prune.
 Face tables are counted, not walked: a clique count memoised on the
 candidate mask yields the (forward, backward) polynomial of every complex
 V_m, m <= n, at once, and the saturated tables follow by binomial inversion.
-The count orders the arrows upper node first, which halves its memo (``_count_cliques``).
+The count orders the arrows upper node first, which halves its memo, and
+resumes each sum from its longest memoised suffix, which halves its arrow
+steps (``_count_cliques``).
 The oracles of ``series check`` that need more than (forward, backward)
 read one end tally instead: the cliques inside a start mask counted by the
 nodes their arrows touch as lower and as upper ends (``_end_tally``).
@@ -47,9 +49,12 @@ def resource_cap() -> int:
     if raw is None:
         return DEFAULT_MAX_N
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"{_ENV_CAP} must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise ValueError(f"{_ENV_CAP} must be >= 0, got {raw!r}")
+    return cap
 
 
 def check_ambient_size(n: int) -> None:
@@ -329,27 +334,38 @@ def _count_cliques(
     they are packed with, and the number of memo states.
 
     count(cand) = 1 + sum over v in cand of x^fwd(v) y^bwd(v) * count(cand &
-    masks[v] & above(v)), memoised on cand.  A polynomial is one int: cell
-    (i, d-i) sits in slot d*(dim+1)+i, so x and y are shifts.  A slot holds
-    the number of sets of at most dim arrows, so no cell of a face with at
-    most dim arrows carries into the next; larger faces land above slot
-    (dim+1)^2 - 1, which the caller must check.  The number of states
-    depends on the arrow order: by upper node first (``_count_order``), the
-    arrows above v lie on nodes 1..u, u the upper node of v, so the count
-    peels the complex from its top node down and clique prefixes often
-    leave the same state.  The 15 orbit representatives need 13,193 states
-    at n = 7 (24,827 in index order).
+    up[v]), up[v] = masks[v] & above(v), memoised on cand.  The sum resumes
+    from the longest memoised suffix: it drops the lowest arrow of cand until
+    the rest R is in the memo (``{0: 1}`` to begin with) and adds only the
+    dropped arrows' terms to count(R).  That is exact because cand & up[w] =
+    R & up[w] for w in R, so R's terms are already in count(R).  Every set
+    cand & up[v] is still counted, here for the dropped v and when R was
+    counted for the rest, so the memo holds what the full sum would: the
+    closure of the starts under S -> S & up[v], and only cand is stored.
+    The suffix walk is a loop, so the recursion is no deeper than the
+    largest face.  Over the 15 orbit representatives this halves the arrow
+    steps: 81,923 -> 35,891 at n = 7.
+
+    A polynomial is one int: cell (i, d-i) sits in slot d*(dim+1)+i, so x
+    and y are shifts.  A slot holds the number of sets of at most dim
+    arrows, so no cell of a face with at most dim arrows carries into the
+    next; larger faces land above slot (dim+1)^2 - 1, which the caller must
+    check.  The number of states depends on the arrow order: by upper node
+    first (``_count_order``), the arrows above v lie on nodes 1..u, u the
+    upper node of v, so the count peels the complex from its top node down
+    and clique prefixes often leave the same state.  The 15 orbit
+    representatives need 13,193 states at n = 7 (24,827 in index order).
     """
     width = sum(comb(len(arrows), k) for k in range(dim + 1)).bit_length()
     shift = [width * (dim + 2 if tail < head else dim + 1) for tail, head in arrows]
     single = [1 << s for s in shift]
-    memo: dict[int, int] = {}
+    memo: dict[int, int] = {0: 1}
     lookup = memo.get
 
     def count(cand: int) -> int:
-        total = 1
+        total = 0
         rest = cand
-        while rest:
+        while (got := lookup(rest)) is None:
             low = rest & -rest
             v = low.bit_length() - 1
             rest ^= low
@@ -359,6 +375,7 @@ def _count_cliques(
                 total += (count(sub) if got is None else got) << shift[v]
             else:
                 total += single[v]
+        total += got
         memo[cand] = total
         return total
 

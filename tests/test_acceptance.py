@@ -152,11 +152,11 @@ def test_criterion_3_f_vector_universality():
 
 
 @pytest.mark.slow
-def test_refined_tables_depend_only_on_the_class_at_n11():
+@pytest.mark.parametrize("n", [11, 12])
+def test_refined_tables_depend_only_on_the_class_past_the_cap(n):
     """The paper's claim past the resource cap: the 15 orbit representatives
     share the per-dimension counts C(n+k,k) C(n,k), and their refined tables
     are equal within each class, oriented as in f-vector universality."""
-    n = 11
     reference: dict[str, dict] = {}
     for name in TABLE_ROW_ORDER:
         rs = ALIASES[name]

@@ -241,6 +241,15 @@ def test_resource_cap_env_must_be_an_integer(capsys, monkeypatch):
     assert "ROOTFLAGS_MAX_N must be an integer, got 'abc'" in err
 
 
+def test_resource_cap_env_must_not_be_negative(capsys, monkeypatch):
+    monkeypatch.setenv("ROOTFLAGS_MAX_N", "-3")
+    for argv in (("verify", "LEX_NN"), ("faces", "--code", "LEX_NN")):
+        code, out, err = run_cli(capsys, *argv, "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert "ROOTFLAGS_MAX_N must be >= 0, got '-3'" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [("verify", "--all", "--n", "4"), ("series", "check"), ("series-check",)],

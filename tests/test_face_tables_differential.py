@@ -5,10 +5,14 @@ saturated table by binomial inversion; the oracle here walks every face and
 tallies it by (forward, backward) arrows, testing saturation and the facet
 size on the face itself.  The count runs over the arrows in count order
 (``complexes._count_order``); a second oracle runs the same count on the
-index-order masks of ``_adjacency(code, n)``.
+index-order masks of ``_adjacency(code, n)``.  The count itself is also
+compared, on random graphs, with a tally of every subset of each start mask.
 """
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rootflags import complexes
 from rootflags.complexes import SELECTORS, FaceTable, enumerate_faces, face_table
@@ -88,3 +92,84 @@ def test_count_order_memo_states_are_pinned(memo_states):
     for n in (8, 9):
         complexes._face_tables.__wrapped__(ALIASES["SIMION_C"].code, n)
     assert memo_states == [2382, 5561]
+
+
+@st.composite
+def _drawn_graphs(draw):
+    """Up to 10 arrows with random directions, a random symmetric adjacency,
+    1-4 start masks (not closed under taking suffixes) and a dim of at least
+    the clique number."""
+    m = draw(st.integers(0, 10))
+    arrows = tuple((1, 2) if draw(st.booleans()) else (2, 1) for _ in range(m))
+    masks = [0] * m
+    for u, v in combinations(range(m), 2):
+        if draw(st.booleans()):
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    starts = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=4))
+    clique = max(
+        (len(c) for k in range(m + 1) for c in combinations(range(m), k)
+         if all(masks[u] >> v & 1 for u, v in combinations(c, 2))),
+        default=0,
+    )
+    dim = clique + draw(st.integers(0, 2))
+    return arrows, tuple(masks), starts, dim
+
+
+def _subset_tally(arrows, masks, start):
+    """(forward, backward) -> number of cliques inside start, by every subset."""
+    inside = [v for v in range(len(arrows)) if start >> v & 1]
+    tally: dict[tuple[int, int], int] = {}
+    for k in range(len(inside) + 1):
+        for face in combinations(inside, k):
+            if all(masks[u] >> v & 1 for u, v in combinations(face, 2)):
+                forward = sum(arrows[v][0] < arrows[v][1] for v in face)
+                key = (forward, k - forward)
+                tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
+def _suffix_closure(masks, starts):
+    """The start masks closed under S -> S & up[v], v in S, up[v] the
+    neighbours of v above it."""
+    seen = set(starts)
+    todo = list(seen)
+    while todo:
+        cand = todo.pop()
+        for v in range(len(masks)):
+            if cand >> v & 1:
+                sub = cand & masks[v] & -(2 << v)
+                if sub not in seen:
+                    seen.add(sub)
+                    todo.append(sub)
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(_drawn_graphs())
+def test_count_cliques_matches_a_subset_tally(graph):
+    arrows, masks, starts, dim = graph
+    polys, width, states = complexes._count_cliques(arrows, masks, starts, dim)
+    slot = (1 << width) - 1
+    for poly, start in zip(polys, starts):
+        assert poly.bit_length() <= (dim + 1) ** 2 * width
+        cells = {}
+        for d in range(dim + 1):
+            for i in range(d + 1):
+                c = poly >> width * (d * (dim + 1) + i) & slot
+                if c:
+                    cells[(i, d - i)] = c
+        assert cells == _subset_tally(arrows, masks, start)
+    assert states == len(_suffix_closure(masks, starts))
+
+
+def test_count_cliques_on_an_edgeless_graph_needs_no_deep_recursion():
+    # the count resumes from memoised suffixes in a loop, so its depth is
+    # bounded by the largest face, not by the number of arrows
+    m = 3000
+    arrows = ((1, 2),) * (m - 1000) + ((2, 1),) * 1000
+    full = (1 << m) - 1
+    polys, width, states = complexes._count_cliques(arrows, (0,) * m, [full], 1)
+    slot = (1 << width) - 1
+    assert [polys[0] >> width * k & slot for k in range(4)] == [1, 0, 1000, 2000]
+    assert states == 2

@@ -681,5 +681,5 @@ def run_checks(
     selected = list(CHECKS) if names is None else list(names)
     unknown = [n for n in selected if n not in CHECKS]
     if unknown:
-        raise KeyError(f"unknown checks: {unknown}; known: {sorted(CHECKS)}")
+        raise KeyError(f"unknown checks {unknown}; known: {sorted(CHECKS)}")
     return [CHECKS[name](zorder) for name in selected]

@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 from functools import cache
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import checks as checks_mod
 from .axioms import MultiplicityError, support_matching, verify as verify_axioms
@@ -56,9 +56,23 @@ class UsageError(Exception):
     pass
 
 
-def _emit_json(payload: dict) -> None:
-    payload = {"schema": SCHEMA, **payload}
-    print(json.dumps(payload, sort_keys=True))
+def _emit(
+    fmt: str, payload: dict, text: Callable[[], Iterable[str]], csv_header=None, csv_rows=()
+) -> None:
+    """Print a command's output: the JSON ``payload`` with its schema version,
+    the CSV header and rows, or the lines ``text()`` yields.  A command with
+    no ``csv_header`` prints its text under ``--format csv``.  Only the form
+    printed is rendered, so pass ``csv_rows`` as a generator or a list the
+    payload already holds."""
+    if fmt == "json":
+        print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
+    elif fmt == "csv" and csv_header is not None:
+        writer = csv.writer(sys.stdout)
+        writer.writerow(csv_header)
+        writer.writerows(csv_rows)
+    else:
+        for line in text():
+            print(line)
 
 
 def _parse_ruleset(text: str) -> RuleSet:
@@ -107,34 +121,25 @@ def _code_info(rs: RuleSet) -> dict:
     }
 
 
+def _emit_orbit_rows(fmt: str, n: int, payload: dict, keys: list[str], line: str) -> None:
+    """Emit one row per orbit representative, in table order, with the
+    columns ``keys`` and the text line ``line.format(**row)``; the signature
+    is the excess signature at ``n``."""
+    rows = []
+    for name in TABLE_ROW_ORDER:
+        rs = ALIASES[name]
+        row = {"alias": name, "class": classify(rs).value, "letters": rs.letters, "hhtt": rs.hhtt,
+               "tthh": rs.tthh, "signature": excess_signature(rs, n).runs()}
+        rows.append({k: row[k] for k in keys})
+    csv_rows = ([row[k] for k in keys] for row in rows)
+    _emit(fmt, {**payload, "rows": rows}, lambda: (line.format(**row) for row in rows), keys, csv_rows)
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     if args.table4:
-        rows = []
-        for name in TABLE_ROW_ORDER:
-            rs = ALIASES[name]
-            rows.append(
-                {
-                    "alias": name,
-                    "class": classify(rs).value,
-                    "letters": rs.letters,
-                    "hhtt": rs.hhtt,
-                    "tthh": rs.tthh,
-                    "signature": excess_signature(rs, 4).runs(),
-                }
-            )
-        if args.format == "json":
-            _emit_json({"rows": rows})
-        elif args.format == "csv":
-            writer = csv.writer(sys.stdout)
-            writer.writerow(["alias", "class", "letters", "hhtt", "tthh", "signature"])
-            for row in rows:
-                writer.writerow([row[k] for k in ("alias", "class", "letters", "hhtt", "tthh", "signature")])
-        else:
-            for row in rows:
-                print(
-                    f"{row['alias']:<13} {row['class']:<9} {row['letters']} "
-                    f"hhtt={row['hhtt']:<5} tthh={row['tthh']:<5} {row['signature']}"
-                )
+        keys = ["alias", "class", "letters", "hhtt", "tthh", "signature"]
+        line = "{alias:<13} {class:<9} {letters} hhtt={hhtt:<5} tthh={tthh:<5} {signature}"
+        _emit_orbit_rows(args.format, 4, {}, keys, line)
         return 0
 
     if args.all:
@@ -159,25 +164,22 @@ def cmd_classify(args: argparse.Namespace) -> int:
             for orbit in orbits()
         ]
         payload["census"] = census
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["code", "letters", "class", "alias"])
-        for info in infos:
-            writer.writerow([info["code"], info["letters"], info["class"], info["alias"] or ""])
-    else:
+
+    def text():
         for info in infos:
             alias = f" alias={info['alias']}" if info["alias"] else ""
-            print(f"{info['code']:>2} {info['letters']} class={info['class']}{alias}")
+            yield f"{info['code']:>2} {info['letters']} class={info['class']}{alias}"
         if args.all:
             sizes = ", ".join(
                 f"{label}: {len(v)} orbit(s) {v}" for label, v in sorted(payload["census"].items())
             )
-            print(
+            yield (
                 f"valid: {payload['valid']}  invalid: {payload['invalid']}  "
                 f"orbits: {len(payload['orbits'])}  [{sizes}]"
             )
+
+    rows = ([info["code"], info["letters"], info["class"], info["alias"] or ""] for info in infos)
+    _emit(args.format, payload, text, ["code", "letters", "class", "alias"], rows)
     return 0
 
 
@@ -219,124 +221,89 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "failures": sum(r["verdict"] == "fail" for r in results),
             "matches_classification": (not mismatched) if applicable else None,
         }
-        if args.format == "json":
-            _emit_json(payload)
-        else:
+
+        def text():
             for r in results:
-                print(f"{r['code']['letters']} class={r['code']['class']:<9} {r['verdict']}")
+                yield f"{r['code']['letters']} class={r['code']['class']:<9} {r['verdict']}"
             verdict_note = (
                 f"matches classification: {not mismatched}"
                 if applicable
                 else "classification applies from n=5 up"
             )
-            print(f"pass: {payload['passes']}  fail: {payload['failures']}  {verdict_note}")
+            yield f"pass: {payload['passes']}  fail: {payload['failures']}  {verdict_note}"
+
+        _emit(args.format, payload, text)
         return 0 if not (applicable and mismatched) else 1
 
     result = results[0]
-    if args.format == "json":
-        _emit_json(result)
-    else:
-        print(f"code {result['code']['letters']} class={result['code']['class']} n={result['n']}")
+
+    def text():
+        yield f"code {result['code']['letters']} class={result['code']['class']} n={result['n']}"
         for report in result["reports"]:
-            print(f"  {report['axiom']}: {report['verdict']}")
+            yield f"  {report['axiom']}: {report['verdict']}"
             for witness in report["witnesses"]:
-                print(f"    witness: {json.dumps(witness, sort_keys=True)}")
+                yield f"    witness: {json.dumps(witness, sort_keys=True)}"
+
+    _emit(args.format, result, text)
     return 0 if result["verdict"] == "pass" else 1
-
-
-def _print_table(table, fmt: str) -> None:
-    if fmt == "json":
-        _emit_json(table.to_json_dict())
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["i", "j", "count"])
-        for i, j, c in table.to_csv_rows():
-            writer.writerow([i, j, c])
-    else:
-        print(f"n={table.n} selector={table.selector} total={table.total()}")
-        for i, j, c in table.cells():
-            print(f"  forward={i} backward={j}: {c}")
 
 
 def cmd_faces(args: argparse.Namespace) -> int:
     rs = _parse_ruleset(args.code)
     table = face_table(rs, args.n, args.selector, force=args.force)
     if args.refined or args.selector != "all":
-        _print_table(table, args.format)
-    else:
-        dims = table.by_dimension()
-        if args.format == "json":
-            _emit_json(
-                {
-                    "n": table.n,
-                    "selector": table.selector,
-                    "by_dimension": [[k, dims[k]] for k in sorted(dims)],
-                }
-            )
-        elif args.format == "csv":
-            writer = csv.writer(sys.stdout)
-            writer.writerow(["arrows", "count"])
-            for k in sorted(dims):
-                writer.writerow([k, dims[k]])
-        else:
-            print(f"n={table.n} total={table.total()}")
-            for k in sorted(dims):
-                print(f"  {k} arrows: {dims[k]}")
+        payload = table.to_json_dict()
+
+        def text():
+            yield f"n={table.n} selector={table.selector} total={table.total()}"
+            for i, j, c in payload["counts"]:
+                yield f"  forward={i} backward={j}: {c}"
+
+        _emit(args.format, payload, text, ["i", "j", "count"], payload["counts"])
+        return 0
+    dims = table.by_dimension()
+    rows = [[k, dims[k]] for k in sorted(dims)]
+
+    def text():
+        yield f"n={table.n} total={table.total()}"
+        for k, count in rows:
+            yield f"  {k} arrows: {count}"
+
+    payload = {"n": table.n, "selector": table.selector, "by_dimension": rows}
+    _emit(args.format, payload, text, ["arrows", "count"], rows)
     return 0
-
-
-def cmd_facets(args: argparse.Namespace) -> int:
-    args.selector = "facets"
-    args.refined = True
-    return cmd_faces(args)
 
 
 def cmd_excess(args: argparse.Namespace) -> int:
     _check_cap(args, "--n", args.n, EXCESS_N_CAP, "excess size cap")
     if args.all_orbits:
-        rows = []
-        for name in TABLE_ROW_ORDER:
-            rs = ALIASES[name]
-            rows.append(
-                {
-                    "alias": name,
-                    "class": classify(rs).value,
-                    "signature": excess_signature(rs, args.n).runs(),
-                }
-            )
-        if args.format == "json":
-            _emit_json({"n": args.n, "rows": rows})
-        elif args.format == "csv":
-            writer = csv.writer(sys.stdout)
-            writer.writerow(["alias", "class", "signature"])
-            for row in rows:
-                writer.writerow([row["alias"], row["class"], row["signature"]])
-        else:
-            for row in rows:
-                print(f"{row['alias']:<13} {row['class']:<9} {row['signature']}")
+        line = "{alias:<13} {class:<9} {signature}"
+        _emit_orbit_rows(args.format, args.n, {"n": args.n}, ["alias", "class", "signature"], line)
         return 0
     if not args.code:
         raise UsageError("excess needs --code or --all-orbits")
     rs = _parse_ruleset(args.code)
     signature = excess_signature(rs, args.n)
-    if args.format == "json":
-        _emit_json(
-            {
-                "code": _code_info(rs),
-                "n": args.n,
-                "signature": signature.runs(),
-                "degrees": list(signature.degrees),
-            }
-        )
-    else:
-        print(signature.runs())
+    payload = {
+        "code": _code_info(rs),
+        "n": args.n,
+        "signature": signature.runs(),
+        "degrees": list(signature.degrees),
+    }
+    _emit(args.format, payload, lambda: [payload["signature"]])
     return 0
+
+
+def _arrows(pairs: list[list[int]]) -> str:
+    return " ".join(f"{tail}->{head}" for tail, head in pairs)
 
 
 def cmd_match(args: argparse.Namespace) -> int:
     rs = _parse_ruleset(args.rules)
     tails = [int(x) for x in args.tails.replace(",", " ").split()]
     heads = [int(x) for x in args.heads.replace(",", " ").split()]
+    if not tails or not heads:
+        raise UsageError("--tails and --heads must each list at least one node")
     _check_cap(args, "|I| =", len(tails), MATCH_SIZE_CAP, "match size cap")
     valid = classify(rs).value != "invalid"
     try:
@@ -350,12 +317,13 @@ def cmd_match(args: argparse.Namespace) -> int:
             "count": exc.count,
             "matchings": [[[a.tail, a.head] for a in sorted(m)] for m in exc.matchings],
         }
-        if args.format == "json":
-            _emit_json(payload)
-        else:
-            print(f"not unique: {exc.count} matchings found")
-            for m in exc.matchings:
-                print("  " + " ".join(f"{a.tail}->{a.head}" for a in sorted(m)))
+
+        def text():
+            yield f"not unique: {exc.count} matchings found"
+            for pairs in payload["matchings"]:
+                yield f"  {_arrows(pairs)}"
+
+        _emit(args.format, payload, text)
         return 1
     agrees = construct_matching(rs, tails, heads) == brute if valid else None
     payload = {
@@ -366,12 +334,12 @@ def cmd_match(args: argparse.Namespace) -> int:
         "unique": True,
         "agrees_with_construction": agrees,
     }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        arrows = " ".join(f"{a.tail}->{a.head}" for a in sorted(brute))
+
+    def text():
         note = "construction agrees: %s" % agrees if valid else "invalid code, brute force only"
-        print(f"{arrows}  (unique: yes, {note})")
+        yield f"{_arrows(payload['matching'])}  (unique: yes, {note})"
+
+    _emit(args.format, payload, text)
     return 0 if agrees in (True, None) else 1
 
 
@@ -398,30 +366,28 @@ def cmd_series_dump(args: argparse.Namespace) -> int:
         raise UsageError(f"unknown series {args.which!r}; known: {sorted(_DUMPABLE)}")
     _check_orders(args, "zorder", "xyorder", "uvorder", "index")
     series: Series = builder(args)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(list(series.ring.variables) + ["numerator", "denominator"])
-    for exps, coeff in series.items():
-        writer.writerow(list(exps) + [coeff.numerator, coeff.denominator])
+    header = list(series.ring.variables) + ["numerator", "denominator"]
+    rows = (list(exps) + [coeff.numerator, coeff.denominator] for exps, coeff in series.items())
+    _emit("csv", {}, lambda: (), header, rows)
     return 0
 
 
 def cmd_series_check(args: argparse.Namespace) -> int:
     _check_orders(args, "zorder")
-    if args.names:
-        names = args.names
-    else:
-        names = sorted(checks_mod.CHECKS)
-    unknown = [n for n in names if n not in checks_mod.CHECKS]
-    if unknown:
-        raise UsageError(f"unknown checks {unknown}; known: {sorted(checks_mod.CHECKS)}")
-    results = [checks_mod.CHECKS[name](args.zorder).to_json_dict() for name in names]
+    try:
+        found = checks_mod.run_checks(args.names or sorted(checks_mod.CHECKS), args.zorder)
+    except KeyError as exc:  # an unknown name; run_checks refuses it before running any
+        raise UsageError(exc.args[0]) from None
+    results = [r.to_json_dict() for r in found]
     ok = all(r["pass"] for r in results)
-    if args.format == "json":
-        _emit_json({"zorder": args.zorder, "checks": results, "verdict": "pass" if ok else "fail"})
-    else:
+
+    def text():
         for r in results:
-            print(f"{'PASS' if r['pass'] else 'FAIL'} {r['name']}: {r['detail']}")
-        print(f"verdict: {'pass' if ok else 'fail'} ({len(results)} checks)")
+            yield f"{'PASS' if r['pass'] else 'FAIL'} {r['name']}: {r['detail']}"
+        yield f"verdict: {'pass' if ok else 'fail'} ({len(results)} checks)"
+
+    payload = {"zorder": args.zorder, "checks": results, "verdict": "pass" if ok else "fail"}
+    _emit(args.format, payload, text)
     return 0 if ok else 1
 
 
@@ -472,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--force", action="store_true")
     add_format(p)
-    p.set_defaults(func=cmd_facets)
+    p.set_defaults(func=cmd_faces, selector="facets", refined=True)
 
     p = sub.add_parser("excess", help="excess-degree signatures")
     p.add_argument("--code")

@@ -805,7 +805,8 @@ def node_enriched_egf(u_order: int, v_order: int, z_order: int | None = None) ->
     neither exponent.
     """
     if z_order is None:
-        z_order = u_order + v_order - 1
+        # at u_order = v_order = 0 the series is the constant 1, with no z term
+        z_order = max(u_order + v_order - 1, 0)
     x_order = u_order + v_order
     # Assemble in a ring with z-headroom for the two later monomial
     # divisions, then truncate down.

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rootflags import RuleSet, support_matching
 from rootflags.cli import EXCESS_N_CAP, MATCH_SIZE_CAP, SERIES_ORDER_CAP, build_parser, main
 
 
@@ -154,6 +155,22 @@ def test_match_multiplicity(capsys):
     payload = json.loads(out)
     assert payload["count"] == 2
     assert len(payload["matchings"]) == 2
+
+
+def test_match_rejects_empty_tails_and_heads(capsys):
+    for tails, heads in (("", ""), ("", "1"), ("2", "")):
+        code, out, err = run_cli(capsys, "match", "--rules", "LEX_NN", "--tails", tails, "--heads", heads)
+        assert code == 2
+        assert out == ""
+        assert "--tails and --heads" in err
+    # the library keeps answering the empty pair with the empty matching
+    assert support_matching(RuleSet.parse("LEX_NN"), [], []) == frozenset()
+
+
+def test_series_dump_node_egf_at_uvorder_zero(capsys):
+    code, out, err = run_cli(capsys, "series", "dump", "--which", "node-egf", "--uvorder", "0")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["u,v,x,y,z,numerator,denominator", "0,0,0,0,0,1,1"]
 
 
 def test_series_dump_csv(capsys):

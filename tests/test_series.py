@@ -315,6 +315,13 @@ def test_node_enriched_egf_small_cells():
     assert egf.coefficient(z=0) == 1
 
 
+def test_node_enriched_egf_at_order_zero_is_one():
+    # for n >= 1, node 1 is only a left end and node n + 1 only a right end,
+    # so every term but the constant carries both u and v
+    for orders in ((0, 0), (0, 1), (1, 0)):
+        assert list(node_enriched_egf(*orders).items()) == [((0, 0, 0, 0, 0), 1)]
+
+
 # -- lex class ---------------------------------------------------------------
 
 

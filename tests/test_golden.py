@@ -32,6 +32,7 @@ GOLDEN = Path(__file__).parent / "golden"
             ["verify", "--all", "--n", "4", "--all-witnesses", "--format", "json"],
         ),
         ("series_check_z5.json", ["series", "check", "--zorder", "5", "--format", "json"]),
+        ("verify_all_n7.json", ["verify", "--all", "--n", "7", "--format", "json"]),
     ],
 )
 def test_cli_output_matches_snapshot(capsys, snapshot, argv):

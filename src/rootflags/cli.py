@@ -18,6 +18,7 @@ from . import checks as checks_mod
 from .axioms import MultiplicityError, support_matching, verify as verify_axioms
 from .complexes import (
     ResourceLimitError,
+    check_ambient_size,
     check_resource_cap,
     excess_signature,
     face_table,
@@ -276,6 +277,9 @@ def cmd_faces(args: argparse.Namespace) -> int:
 
 def cmd_excess(args: argparse.Namespace) -> int:
     _check_cap(args, "--n", args.n, EXCESS_N_CAP, "excess size cap")
+    check_ambient_size(args.n)
+    if args.n < 1:  # V_0 has no arrow, so its signature is empty
+        raise UsageError("--n must be >= 1 for excess")
     if args.all_orbits:
         line = "{alias:<13} {class:<9} {signature}"
         _emit_orbit_rows(args.format, args.n, {"n": args.n}, ["alias", "class", "signature"], line)
@@ -469,8 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=cmd_series_dump)
 
     def add_series_check(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--names", nargs="*", help="subset of checks to run")
-        p.add_argument("--all", action="store_true", help="run every check (default)")
+        which = p.add_mutually_exclusive_group()
+        which.add_argument("--names", nargs="*", help="subset of checks to run")
+        which.add_argument("--all", action="store_true", help="run every check (default)")
         p.add_argument("--zorder", type=int, default=5)
         p.add_argument("--force", action="store_true", help="override the series order cap")
         add_format(p)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rootflags import RuleSet, support_matching
+from rootflags import RuleSet, checks as checks_mod, support_matching
 from rootflags.cli import EXCESS_N_CAP, MATCH_SIZE_CAP, SERIES_ORDER_CAP, build_parser, main
 
 
@@ -248,6 +248,33 @@ def test_excess_rejects_negative_n(capsys):
         assert code == 2
         assert out == ""
         assert "ambient size must be >= 0, got -1" in err
+
+
+def test_excess_rejects_n_zero(capsys):
+    # V_0 has no arrow, so there is no signature to print
+    for argv in (("--code", "SIMION_C"), ("--all-orbits",)):
+        for fmt in ("text", "json", "csv"):
+            code, out, err = run_cli(capsys, "excess", *argv, "--n", "0", "--format", fmt)
+            assert code == 2
+            assert out == ""
+            assert err == "error: --n must be >= 1 for excess\n"
+
+
+@pytest.mark.parametrize("argv", [("series", "check"), ("series-check",)])
+def test_series_check_names_and_all_are_exclusive(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--names", "catalan-quadratic", "--all", "--zorder", "2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --all: not allowed with argument --names" in err
+
+
+def test_series_check_all_runs_every_check(capsys):
+    code, out, _ = run_cli(capsys, "series", "check", "--all", "--zorder", "2", "--format", "json")
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert names == sorted(checks_mod.CHECKS)
 
 
 def test_resource_cap_env_must_be_an_integer(capsys, monkeypatch):

@@ -8,10 +8,14 @@ node by relinking one arrow endpoint).  Both are decided here
 exhaustively on the adjacency bitmasks of ``complexes.adjacency``, together
 with the underlying matching-ensemble axioms on complete bipartite graphs
 and the spanning-tree correspondence.  All three verdicts are decided
-from one table of the T/H words and their matchings (``_word_table``):
-support counts each word's matchings, linkage relinks them, and a circuit
-is a pair of matchings of one word whose arrows are pairwise edges.  The
-matching faces and the circuit witnesses are listed by the clique walk of
+from one table of the T/H words and their matchings (``_code_table``):
+support counts each word's matchings and reads its first witness off the
+least failing word, linkage relinks the matchings, and a circuit is a pair
+of matchings of one word whose arrows are pairwise edges.  The table is
+solved once per symmetry orbit, for the orbit's least code
+(``_word_table``); the other members relabel it exactly, since dual swaps
+T and H in every word and reflected dual also reverses it.  The matching
+faces and the circuit witnesses are listed by the clique walk of
 ``complexes._iter_cliques``.
 
 Bipartite objects live on K_{a,b} with left part 1..a and right part 1..b.
@@ -35,7 +39,7 @@ from typing import Iterable, Iterator, Sequence
 from .complexes import _adjacency, _count_order, _iter_cliques, _node_masks, _pair_classes
 from .complexes import adjacency, check_ambient_size
 from .matchings import THWord, _trace, th_word
-from .rules import Arrow, RuleSet
+from .rules import Arrow, RuleSet, orbit_of
 
 Matching = frozenset[Arrow]
 BipartiteEdge = tuple[int, int]
@@ -210,18 +214,72 @@ def _word_matchings(
     return found
 
 
-@lru_cache(maxsize=1)
-def _word_table(code: int, n: int) -> dict[str, list[tuple[tuple[int, int], ...]]]:
-    """Every T/H word of length at most n+1, by length, with its
-    ``_word_matchings`` on the masks of V_n.  Permissibility, support and
-    linkage all read it, so the checks of one ``verify`` call solve each
-    word once; only the last (code, n) is kept."""
+WordTable = dict[str, list[tuple[tuple[int, int], ...]]]
+
+_SWAP = str.maketrans("TH", "HT")
+
+
+@lru_cache(maxsize=30)
+def _word_table(code: int, n: int) -> WordTable:
+    """Every T/H word of length at most n+1, in ``_words`` order, with its
+    ``_word_matchings`` on the masks of V_n, for the least code of an orbit.
+    ``_code_table`` relabels it onto the other members, so ``verify --all``
+    solves each word once per orbit; one (code, n) per orbit is kept."""
     masks = _adjacency(code, n)[1]
     return {
         word: _word_matchings(n, masks, word)
         for k in range(1, (n + 1) // 2 + 1)
         for word in _words(k)
     }
+
+
+@lru_cache(maxsize=64)
+def _orbit_relabel(code: int) -> tuple[int, bool, bool]:
+    """The least code of a code's orbit, and whether the symmetry that takes
+    it to the code swaps T and H (dual, reflected dual) and whether it
+    reverses the words (reflected dual, dual o reflected dual)."""
+    least = orbit_of(RuleSet.from_code(code))[0]
+    images = {
+        (False, False): least,
+        (True, False): least.dual(),
+        (True, True): least.reflected_dual(),
+        (False, True): least.dual().reflected_dual(),
+    }
+    return least.code, *next(key for key, image in images.items() if image.code == code)
+
+
+def _code_table(code: int, n: int) -> WordTable:
+    """``_word_table`` of any code: its orbit's solved table, relabeled onto
+    the code unless the code is the orbit's least.  Permissibility, support
+    and linkage all read it."""
+    return _word_table(code, n) if _orbit_relabel(code)[0] == code else _member_table(code, n)
+
+
+@lru_cache(maxsize=1)
+def _member_table(code: int, n: int) -> WordTable:
+    """The word table of a code that is not its orbit's least, relabeled
+    from the least code's; only the last (code, n) is kept.
+
+    On a word of length L, dual swaps T and H and maps (t, h) to (h, t),
+    reflected dual reverses and swaps the word and maps (t, h) to
+    (L-1-h, L-1-t), and their product reverses the word and maps (t, h) to
+    (L-1-t, L-1-h).  The relabeled matchings are sorted back into the order
+    of ``_word_matchings``, which is that of their (tail, head) tuples."""
+    least, swap, reverse = _orbit_relabel(code)
+    solved = _word_table(least, n)
+    table = {}
+    for word in solved:  # the words of a length are closed under each symmetry
+        source = word.translate(_SWAP) if swap else word
+        last = len(word) - 1
+        matchings = []
+        for matching in solved[source[::-1] if reverse else source]:
+            if swap:
+                matching = [(h, t) for t, h in matching]
+            if reverse:
+                matching = [(last - t, last - h) for t, h in matching]
+            matchings.append(tuple(sorted(matching)))
+        table[word] = sorted(matchings)
+    return table
 
 
 def check_support_axiom(
@@ -231,35 +289,41 @@ def check_support_axiom(
     equal-size node sets.
 
     By uniformity the matchings depend only on the T/H word that I and J
-    trace on the number line, so each word is solved once (``_word_table``).
-    Only when some word has no or several matchings are the (I, J) pairs
-    walked, in order, to list the witnesses with the word's matchings
-    relabeled onto them.
+    trace on the number line, so each word is solved once (``_code_table``).
+    The first witness in (|I|, I, J) order is the first failing word of the
+    table (shortest, then least tail positions) placed on nodes 1..2k: any
+    other placement of any failing word raises every node, so its (I, J)
+    comes later.  Only for all witnesses are the (I, J) pairs walked, in
+    order, with each failing word's matchings relabeled onto them.
     """
     check_ambient_size(n)
-    by_word = _word_table(rs.code, n)
+    by_word = _code_table(rs.code, n)
+    failing = next((word for word, matchings in by_word.items() if len(matchings) != 1), None)
+    if failing is None:
+        return AxiomReport("support", True)
+    if all_witnesses:
+        pairs = _disjoint_pairs(n)
+    else:  # the first failing word on nodes 1..2k
+        tails = tuple(p for p, letter in enumerate(failing, 1) if letter == "T")
+        heads = tuple(p for p, letter in enumerate(failing, 1) if letter == "H")
+        pairs = [(tails, heads)]
     witnesses = []
-    if any(len(matchings) != 1 for matchings in by_word.values()):
-        for tails, heads in _disjoint_pairs(n):
-            nodes = sorted(tails + heads)
-            matchings = by_word["".join("T" if x in tails else "H" for x in nodes)]
-            if len(matchings) != 1:
-                witnesses.append(
-                    Violation(
-                        "support",
-                        {
-                            "I": list(tails),
-                            "J": list(heads),
-                            "count": len(matchings),
-                            "matchings": [
-                                [[nodes[t], nodes[h]] for t, h in m] for m in matchings
-                            ],
-                        },
-                    )
+    for tails, heads in pairs:
+        nodes = sorted(tails + heads)
+        matchings = by_word["".join("T" if x in tails else "H" for x in nodes)]
+        if len(matchings) != 1:
+            witnesses.append(
+                Violation(
+                    "support",
+                    {
+                        "I": list(tails),
+                        "J": list(heads),
+                        "count": len(matchings),
+                        "matchings": [[[nodes[t], nodes[h]] for t, h in m] for m in matchings],
+                    },
                 )
-                if not all_witnesses:
-                    break
-    return AxiomReport("support", not witnesses, tuple(witnesses))
+            )
+    return AxiomReport("support", False, tuple(witnesses))
 
 
 def matching_faces(rs: RuleSet, n: int) -> Iterator[Matching]:
@@ -301,13 +365,13 @@ def _rests(masks: Sequence[int], face: Sequence[int]) -> list[int]:
 
 def _linkage_holds_on_words(code: int, n: int) -> bool:
     """Linkage decided once per T/H word: every matching of every word of
-    length 2r <= n in ``_word_table``, placed on nodes 1..2r+1 around each
+    length 2r <= n in ``_code_table``, placed on nodes 1..2r+1 around each
     outside node k, relinks to absorb k on both sides.  By uniformity this
     is the linkage axiom for all matching faces at size n.  A single arrow
     always relinks, so words start at r = 2."""
     masks = _adjacency(code, n)[1]
     index = _index_table(n)
-    for word, matchings in _word_table(code, n).items():
+    for word, matchings in _code_table(code, n).items():
         if not 4 <= len(word) <= n:
             continue
         for matching in matchings:
@@ -376,15 +440,19 @@ def _circuit_cores(code: int, n: int) -> list[tuple[tuple[int, int], ...]]:
     of that word that share no arrow.  Conversely, two distinct matchings of
     a word whose arrows are pairwise edges hold such a cycle, on a shorter
     word if they share an arrow.  So the cores are the unions of two
-    matchings of a ``_word_table`` word of which every arrow of one is a
+    matchings of a ``_code_table`` word of which every arrow of one is a
     neighbour of every arrow of the other (so none is shared), as 0-based
     (tail, head) positions; by uniformity a core placed on any 2r nodes of
     V_n is a face, and every simple cycle of a face is such a placement.
+    Words with fewer than two matchings, all words of a valid code, hold
+    no core.
     """
     masks = _adjacency(code, n)[1]
     index = _index_table(n)
     cores = []
-    for matchings in _word_table(code, n).values():
+    for matchings in _code_table(code, n).values():
+        if len(matchings) < 2:
+            continue
         arrows = [[index[t + 1][h + 1] for t, h in m] for m in matchings]
         bits = [sum(1 << v for v in m) for m in arrows]
         common = [reduce(and_, (masks[v] for v in m)) for m in arrows]
@@ -405,7 +473,7 @@ def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axiom
     the two placements of one type word, of which each code picks one.
     For (c), every clique is admissible, since a pair in which a node is the
     head of one arrow and the tail of the other is never an edge; some
-    clique contains a circuit exactly when some word of ``_word_table`` has
+    clique contains a circuit exactly when some word of ``_code_table`` has
     a circuit core (``_circuit_cores``), and this genuinely happens for
     invalid codes.  Only then are the faces walked, in the order of
     ``enumerate_faces``, to report the first (or every) face with a circuit:

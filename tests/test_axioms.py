@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from rootflags import axioms
@@ -17,7 +19,7 @@ from rootflags.axioms import (
     spanning_trees,
     support_matching,
 )
-from rootflags.rules import ALIASES, Arrow, RuleSet, classify
+from rootflags.rules import ALIASES, Arrow, RuleSet, classify, orbit_of
 
 LEX = ALIASES["LEX_NN"]
 REVLEX = ALIASES["REVLEX_NN"]
@@ -238,3 +240,18 @@ def test_verify_solves_each_word_once(count_calls):
     assert not any(report.passed for report in reports)
     words = [args[2] for args in calls]
     assert len(words) == len(set(words)) == 2 + 6 + 20  # the words of 1, 2 and 3 tails
+
+
+def test_verify_all_solves_each_word_once_per_orbit(count_calls):
+    # the 64 codes fall into 30 orbits; only each orbit's least code solves
+    # its words, the other members relabel that table
+    axioms._word_table.cache_clear()
+    calls = count_calls(axioms, "_word_matchings")
+    codes = [RuleSet.from_code(code) for code in range(64)]
+    for rs in codes:
+        axioms.verify(rs, 6)
+    orbits = {orbit_of(rs) for rs in codes}
+    assert len(orbits) == 30
+    words = [word for k in (1, 2, 3) for word in axioms._words(k)]
+    assert Counter(args[2] for args in calls) == dict.fromkeys(words, 30)
+    assert len(calls) == 30 * 28

@@ -113,6 +113,38 @@ def test_reports_match_oracle_first_witness_n5():
     assert circuits == 6
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_first_support_witness_is_the_walks_first(n):
+    # the first witness is read off the word table; the walk over every
+    # (I, J) pair in order, which lists all witnesses, must start with it
+    failed = 0
+    for rs in CODES:
+        every = axioms.check_support_axiom(rs, n, all_witnesses=True)
+        first = axioms.check_support_axiom(rs, n)
+        assert first.to_json_dict() == _first_witness(every).to_json_dict(), (rs.letters, n)
+        failed += not first.passed
+    # every code has unique support matchings up to n = 4
+    assert (failed > 0) == (n >= 5)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_relabeled_word_tables_match_direct_solve(n):
+    # each code's table is relabeled from its orbit's least code's; solving
+    # the code's own words gives the same words and the same matching lists,
+    # in the same order
+    relabeled = longest = 0
+    for rs in CODES:
+        want = axioms._word_table.__wrapped__(rs.code, n)
+        got = axioms._code_table(rs.code, n)
+        assert list(got.items()) == list(want.items()), (rs.letters, n)
+        if rules.orbit_of(rs)[0] != rs:
+            relabeled += 1
+            longest = max(longest, *map(len, got.values()))
+    assert relabeled == 64 - len({rules.orbit_of(rs) for rs in CODES}) == 34
+    # from n = 5 some relabeled lists hold several matchings, whose order counts
+    assert longest >= 2 or n < 5
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_matching_faces_match_filtered_enumeration(n):
     for rs in CODES:

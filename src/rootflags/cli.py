@@ -137,20 +137,15 @@ def _emit_orbit_rows(fmt: str, n: int, payload: dict, keys: list[str], line: str
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    if bool(args.codes) + args.all + args.table4 != 1:
+        raise UsageError("classify needs exactly one of: codes, --all, --table4")
     if args.table4:
         keys = ["alias", "class", "letters", "hhtt", "tthh", "signature"]
         line = "{alias:<13} {class:<9} {letters} hhtt={hhtt:<5} tthh={tthh:<5} {signature}"
         _emit_orbit_rows(args.format, 4, {}, keys, line)
         return 0
 
-    if args.all:
-        codes = [RuleSet.from_code(c) for c in range(64)]
-    elif args.codes:
-        codes = [_parse_ruleset(text) for text in args.codes]
-    else:
-        raise UsageError("classify needs codes, --all or --table4")
-
-    infos = [_code_info(rs) for rs in codes]
+    infos = [_code_info(_parse_ruleset(code)) for code in (range(64) if args.all else args.codes)]
     payload: dict = {"codes": infos}
     if args.all:
         census = {label.value: sizes for label, sizes in orbit_census().items()}
@@ -197,13 +192,9 @@ def _verify_one(code: int, n: int, all_witnesses: bool) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     check_resource_cap(args.n, args.force)
-    if args.all:
-        codes = list(range(64))
-    elif args.code:
-        codes = [_parse_ruleset(args.code).code]
-    else:
-        raise UsageError("verify needs a code or --all")
-
+    if args.all == bool(args.code):
+        raise UsageError("verify needs exactly one of: a code, --all")
+    codes = range(64) if args.all else [_parse_ruleset(args.code).code]
     results = [_verify_one(code, args.n, args.all_witnesses) for code in codes]
 
     if args.all:
@@ -280,12 +271,12 @@ def cmd_excess(args: argparse.Namespace) -> int:
     check_ambient_size(args.n)
     if args.n < 1:  # V_0 has no arrow, so its signature is empty
         raise UsageError("--n must be >= 1 for excess")
+    if args.all_orbits == bool(args.code):
+        raise UsageError("excess needs exactly one of: --code, --all-orbits")
     if args.all_orbits:
         line = "{alias:<13} {class:<9} {signature}"
         _emit_orbit_rows(args.format, args.n, {"n": args.n}, ["alias", "class", "signature"], line)
         return 0
-    if not args.code:
-        raise UsageError("excess needs --code or --all-orbits")
     rs = _parse_ruleset(args.code)
     signature = excess_signature(rs, args.n)
     payload = {
@@ -474,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_series_check(p: argparse.ArgumentParser) -> None:
         which = p.add_mutually_exclusive_group()
-        which.add_argument("--names", nargs="*", help="subset of checks to run")
+        which.add_argument("--names", nargs="+", help="subset of checks to run")
         which.add_argument("--all", action="store_true", help="run every check (default)")
         p.add_argument("--zorder", type=int, default=5)
         p.add_argument("--force", action="store_true", help="override the series order cap")

@@ -66,30 +66,99 @@ def test_abandoned_enumeration_does_not_corrupt_later_runs():
     assert all(f.is_forest for f in enumerate_faces(rs, 4))
 
 
-def test_node_enriched_egf_fails_when_it_compares_nothing(monkeypatch):
-    # with every key outside the ring, the check has nothing to compare
+def _no_key_in_the_ring(monkeypatch):
+    # with every key outside the ring, the EGF check has nothing to compare
     egf = checks.srs.node_enriched_egf(4, 4)
     monkeypatch.setattr(checks.srs, "node_enriched_egf", lambda u, v: egf)
     monkeypatch.setattr(checks.srs.SeriesRing, "within", lambda self, exps: False)
-    result = checks.check_node_enriched_egf(5)
-    assert not result.passed
-    assert result.detail == "1 mismatches; first: compared-nothing"
 
 
-def test_forward_saturated_delannoy_fails_when_it_compares_nothing(monkeypatch):
+def _no_alias_nests(monkeypatch):
     # no alias has THTH nest under a value no rule takes, so all are skipped
     monkeypatch.setattr(checks, "NEST", "no such rule")
-    result = checks.check_forward_saturated_delannoy(5)
-    assert not result.passed
-    assert result.detail == "1 mismatches; first: compared-nothing"
 
 
-def test_matching_ensembles_fails_when_it_compares_nothing(monkeypatch):
-    # with no valid code there is no restriction to check
+def _no_valid_code(monkeypatch):
     monkeypatch.setattr(checks, "valid_rulesets", lambda: [])
-    result = checks.check_matching_ensembles(5)
+
+
+NO_VALID_CODE = [
+    "matching-ensembles",
+    "lex-refined-cells",
+    "simion-saturated-series",
+    "simion-facet-formula",
+    "revlex-saturated-series",
+    "revlex-facet-formula",
+    "f-vector-universality",
+    "dual-symmetry",
+    "excess-degree-formula",
+]
+# below zero their horizons n <= min(zorder, ...) hold no n
+NO_HORIZON = [
+    "prefix-refined-backward",
+    "lex-refined-cells",
+    "f-vector-universality",
+    "dual-symmetry",
+]
+
+
+@pytest.mark.parametrize(
+    "name, zorder, empty",
+    [
+        pytest.param("node-enriched-egf", 5, _no_key_in_the_ring, id="node-enriched-egf-no-key"),
+        pytest.param(
+            "forward-saturated-delannoy", 5, _no_alias_nests, id="forward-saturated-delannoy-no-nest"
+        ),
+        *[pytest.param(name, 5, _no_valid_code, id=f"{name}-no-code") for name in NO_VALID_CODE],
+        *[pytest.param(name, -1, None, id=f"{name}-zorder-1") for name in NO_HORIZON],
+    ],
+)
+def test_a_check_fails_when_it_compares_nothing(monkeypatch, name, zorder, empty):
+    if empty:
+        empty(monkeypatch)
+    result = CHECKS[name](zorder)
     assert not result.passed
     assert result.detail == "1 mismatches; first: compared-nothing"
+
+
+def test_every_check_reports_what_it_compared(count_calls):
+    calls = count_calls(checks, "_result")
+    run_checks(zorder=5)
+    compared = {name: count for name, _, _, count in calls}
+    assert len(calls) == len(compared) == len(CHECKS)
+    assert [name for name, count in compared.items() if count <= 0] == []
+    # the table checks compare every cell: i + j <= n holds (n+1)(n+2)/2 cells
+    # and i + j = n holds n + 1; 4 lex, 4 revlex and 26 Simion codes
+    triangle = [(n + 1) * (n + 2) // 2 for n in range(6)]
+    top = [n + 1 for n in range(6)]
+    cells = {
+        "backward-only-vs-enumeration": 4 * sum(top),
+        "transfer-roundtrip": sum(triangle[:5]),
+        # k arrows on m = k+1..2k nodes, split k+1 ways, for k <= 4
+        "forest-node-polynomials": 2 * sum(k * (k + 1) for k in range(1, 5)),
+        "simion-saturated-series": 26 * sum(triangle),
+        "simion-facet-formula": 26 * sum(top),
+        "revlex-saturated-series": 4 * sum(triangle),
+        "revlex-facet-formula": 4 * sum(top),
+        "lex-refined-cells": 4 * sum(triangle),
+    }
+    assert {name: compared[name] for name in cells} == cells
+
+
+def test_run_checks_refuses_a_negative_zorder_before_any_check(count_calls):
+    calls = count_calls(checks, "_result")
+    with pytest.raises(ValueError, match="zorder must be >= 0, got -1"):
+        run_checks(zorder=-1)
+    assert calls == []
+
+
+def test_a_table_check_names_its_first_mismatching_cell(monkeypatch):
+    # every facet count 0: the first cell compared is the one facet of V_0
+    monkeypatch.setattr(checks.srs, "revlex_facet_count", lambda n, k: 0)
+    result = checks.check_revlex_facets(5)
+    first = checks.codes_of(checks.ClassLabel.REVLEX)[0].letters
+    assert not result.passed
+    assert result.detail.endswith(f"first: {(first, 0, 0, 0, '0', 1)}")
 
 
 def test_forward_saturated_delannoy_compares_at_zorder_0():

@@ -420,3 +420,35 @@ def test_excess_cap_is_inclusive_and_force_lifts_it(capsys):
         assert code == 0
         payload = json.loads(out)
         assert payload["n"] == n and len(payload["degrees"]) == n * (n + 1)
+
+
+@pytest.mark.parametrize("argv", [("5", "--table4"), ("5", "--all"), ("--all", "--table4")])
+def test_classify_refuses_more_than_one_selection(capsys, argv):
+    code, out, err = run_cli(capsys, "classify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: classify needs exactly one of: codes, --all, --table4\n"
+
+
+def test_verify_refuses_a_code_with_all(capsys):
+    code, out, err = run_cli(capsys, "verify", "5", "--all", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: verify needs exactly one of: a code, --all\n"
+
+
+def test_excess_refuses_a_code_with_all_orbits(capsys):
+    code, out, err = run_cli(capsys, "excess", "--code", "LEX_NN", "--all-orbits", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: excess needs exactly one of: --code, --all-orbits\n"
+
+
+@pytest.mark.parametrize("argv", [("series", "check"), ("series-check",)])
+def test_series_check_names_needs_a_name(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--names"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --names: expected at least one argument" in err

@@ -31,11 +31,11 @@ phi_inverse and tree compatibility are bit tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
+from ._record import Record
 from .complexes import _adjacency, _count_order, _iter_cliques, _node_masks, _pair_classes
 from .complexes import adjacency, check_ambient_size
 from .matchings import THWord, _trace, th_word
@@ -60,10 +60,23 @@ class MultiplicityError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class Violation:
-    axiom: str
-    detail: dict = field(hash=False)
+class Violation(Record):
+    """One witness against an axiom; the detail takes part in equality but
+    not in the hash."""
+
+    def __init__(self, axiom: str, detail: dict):
+        self.__dict__.update(axiom=axiom, detail=detail)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.axiom, self.detail) == (other.axiom, other.detail)
+
+    def __hash__(self) -> int:
+        return hash((self.axiom,))
+
+    def __repr__(self) -> str:
+        return f"Violation(axiom={self.axiom!r}, detail={self.detail!r})"
 
     def to_json_dict(self) -> dict:
         out = {"axiom": self.axiom}
@@ -71,11 +84,27 @@ class Violation:
         return out
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    axiom: str
-    passed: bool
-    witnesses: tuple[Violation, ...] = ()
+class AxiomReport(Record):
+    """The verdict on one axiom with its witnesses, as ``verify`` lists them."""
+
+    def __init__(self, axiom: str, passed: bool, witnesses: tuple[Violation, ...] = ()):
+        self.__dict__.update(axiom=axiom, passed=passed, witnesses=witnesses)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.axiom, self.passed, self.witnesses) == (
+            other.axiom, other.passed, other.witnesses
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.axiom, self.passed, self.witnesses))
+
+    def __repr__(self) -> str:
+        return (
+            f"AxiomReport(axiom={self.axiom!r}, passed={self.passed!r}, "
+            f"witnesses={self.witnesses!r})"
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -525,22 +554,32 @@ def verify(rs: RuleSet, n: int, all_witnesses: bool = False) -> list[AxiomReport
 # Matching ensembles on K_{a,b}
 
 
-@dataclass(frozen=True)
-class BipartiteEnsemble:
-    """A family of matchings of K_{a,b}."""
+class BipartiteEnsemble(Record):
+    """A family of matchings of K_{a,b}, each a frozenset of (left, right)
+    edges; the family is stored as a frozenset (the same object when it is
+    one already)."""
 
-    a: int
-    b: int
-    matchings: frozenset[EdgeSet]
-
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.b < 1:
+    def __init__(self, a: int, b: int, matchings: Iterable[EdgeSet]):
+        if a < 1 or b < 1:
             raise ValueError("both parts must be nonempty")
-        for m in self.matchings:
+        matchings = frozenset(matchings)
+        for m in matchings:
             if len({l for l, _ in m}) != len(m) or len({r for _, r in m}) != len(m):
                 raise ValueError(f"{sorted(m)} is not a matching")
-            if any(not (1 <= l <= self.a and 1 <= r <= self.b) for l, r in m):
+            if any(not (1 <= l <= a and 1 <= r <= b) for l, r in m):
                 raise ValueError(f"edge out of range in {sorted(m)}")
+        self.__dict__.update(a=a, b=b, matchings=matchings)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.matchings) == (other.a, other.b, other.matchings)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.matchings))
+
+    def __repr__(self) -> str:
+        return f"BipartiteEnsemble(a={self.a!r}, b={self.b!r}, matchings={self.matchings!r})"
 
 
 def me_axioms(ensemble: BipartiteEnsemble, all_witnesses: bool = False) -> AxiomReport:

@@ -10,7 +10,6 @@ check never loosens to a tolerance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial
@@ -18,6 +17,7 @@ from operator import or_
 from typing import Callable, Iterable, Mapping
 
 from . import series as srs
+from ._record import Record
 from .axioms import _compatible_trees, _ensemble_violations, _restriction_by_pattern
 from .complexes import (
     _count_order,
@@ -37,14 +37,36 @@ from .rules import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Record):
+    """The outcome of one check: its name, verdict, one-line detail and the
+    number of values it compared."""
+
+    def __init__(self, name: str, passed: bool, detail: str, compared: int = 0):
+        self.__dict__.update(name=name, passed=passed, detail=detail, compared=compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.passed, self.detail, self.compared) == (
+            other.name, other.passed, other.detail, other.compared
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.passed, self.detail, self.compared))
+
+    def __repr__(self) -> str:
+        return (
+            f"CheckResult(name={self.name!r}, passed={self.passed!r}, "
+            f"detail={self.detail!r}, compared={self.compared!r})"
+        )
 
     def to_json_dict(self) -> dict:
-        return {"name": self.name, "pass": self.passed, "detail": self.detail}
+        return {
+            "name": self.name,
+            "pass": self.passed,
+            "detail": self.detail,
+            "compared": self.compared,
+        }
 
 
 def _result(name: str, failures: list, detail: str, compared: int) -> CheckResult:
@@ -52,8 +74,10 @@ def _result(name: str, failures: list, detail: str, compared: int) -> CheckResul
     if not compared:
         failures = [*failures, "compared-nothing"]
     if failures:
-        return CheckResult(name, False, f"{len(failures)} mismatches; first: {failures[0]}")
-    return CheckResult(name, True, detail)
+        return CheckResult(
+            name, False, f"{len(failures)} mismatches; first: {failures[0]}", compared
+        )
+    return CheckResult(name, True, detail, compared)
 
 
 # ---------------------------------------------------------------------------

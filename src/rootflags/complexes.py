@@ -27,13 +27,13 @@ nodes their arrows touch as lower and as upper ends (``_end_tally``).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping
 
+from ._record import Record
 from .rules import CROSS, NEST, TYPE_WORDS, Arrow, RuleSet, _check_arrow, arrows_of, pair_relation
 
 DEFAULT_MAX_N = 10
@@ -240,14 +240,23 @@ def _end_tally(code: int, n: int, start: int) -> dict[tuple[int, int, int, int],
     return tally
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(Record):
     """A face of the flag complex: pairwise compatible arrows, as a sorted
     tuple, with its ambient size and a forest flag."""
 
-    arrows: tuple[Arrow, ...]
-    n: int
-    is_forest: bool
+    def __init__(self, arrows: tuple[Arrow, ...], n: int, is_forest: bool):
+        self.__dict__.update(arrows=arrows, n=n, is_forest=is_forest)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.arrows, self.n, self.is_forest) == (other.arrows, other.n, other.is_forest)
+
+    def __hash__(self) -> int:
+        return hash((self.arrows, self.n, self.is_forest))
+
+    def __repr__(self) -> str:
+        return f"Face(arrows={self.arrows!r}, n={self.n!r}, is_forest={self.is_forest!r})"
 
     @property
     def forward(self) -> int:
@@ -285,13 +294,23 @@ def enumerate_faces(
         yield Face(tuple(arrows[i] for i in indices), n, forest)
 
 
-@dataclass(frozen=True)
-class FaceTable:
-    """Counts of faces by (forward, backward) arrow numbers."""
+class FaceTable(Record):
+    """Counts of faces by (forward, backward) arrow numbers; the counts take
+    part in equality but not in the hash."""
 
-    n: int
-    selector: str
-    counts: Mapping[tuple[int, int], int] = field(hash=False)
+    def __init__(self, n: int, selector: str, counts: Mapping[tuple[int, int], int]):
+        self.__dict__.update(n=n, selector=selector, counts=counts)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.selector, self.counts) == (other.n, other.selector, other.counts)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.selector))
+
+    def __repr__(self) -> str:
+        return f"FaceTable(n={self.n!r}, selector={self.selector!r}, counts={self.counts!r})"
 
     def cells(self) -> list[tuple[int, int, int]]:
         return [(i, j, c) for (i, j), c in sorted(self.counts.items())]
@@ -492,12 +511,22 @@ def excess_degree_formula(rs: RuleSet, n: int, arrow: Arrow) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class ExcessSignature:
+class ExcessSignature(Record):
     """Sorted multiset of the excess degrees of all n(n+1) arrows."""
 
-    n: int
-    degrees: tuple[int, ...]
+    def __init__(self, n: int, degrees: tuple[int, ...]):
+        self.__dict__.update(n=n, degrees=degrees)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.degrees) == (other.n, other.degrees)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.degrees))
+
+    def __repr__(self) -> str:
+        return f"ExcessSignature(n={self.n!r}, degrees={self.degrees!r})"
 
     def runs(self) -> str:
         """Run-length form, e.g. "1^6 2^4 3^2 4^4 6^4"."""

@@ -13,9 +13,9 @@ unique matching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record
 from .rules import (
     CROSS,
     NEST,
@@ -34,18 +34,41 @@ Matching = frozenset[Arrow]
 Letter = tuple[int, str]
 
 
-@dataclass(frozen=True)
-class THWord:
-    """The tail/head pattern of a node set, with explicit node labels."""
+class THWord(Record):
+    """The tail/head pattern of a node set, with explicit node labels: the
+    positions strictly increase and each letter is T or H."""
 
-    positions: tuple[int, ...]
-    letters: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.positions) != len(self.letters):
+    def __init__(self, positions: Sequence[int], letters: Sequence[str]):
+        positions, letters = tuple(positions), tuple(letters)
+        if len(positions) != len(letters):
             raise ValueError("positions and letters must align")
-        if self.letters.count("T") != self.letters.count("H"):
+        tails = letters.count("T")
+        if tails + letters.count("H") != len(letters):
+            raise ValueError(f"letters must be T or H, got {letters}")
+        if 2 * tails != len(letters):
             raise ValueError("need equally many tails and heads")
+        if any(p >= q for p, q in zip(positions, positions[1:])):
+            raise ValueError(f"positions must strictly increase, got {positions}")
+        self.__dict__.update(positions=positions, letters=letters)
+
+    @classmethod
+    def _of(cls, positions: tuple[int, ...], letters: tuple[str, ...]) -> "THWord":
+        """The word of positions and letters that are already known to be
+        valid, as ``th_word`` and the Simion relabelings make them."""
+        self = object.__new__(cls)
+        self.__dict__.update(positions=positions, letters=letters)
+        return self
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.positions == other.positions and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.positions, self.letters))
+
+    def __repr__(self) -> str:
+        return f"THWord(positions={self.positions!r}, letters={self.letters!r})"
 
     @property
     def word(self) -> str:
@@ -82,7 +105,7 @@ def th_word(tails: Sequence[int], heads: Sequence[int]) -> THWord:
     nodes, letters = _trace(tails, heads)
     if 2 * letters.count("T") != len(letters):
         raise ValueError("tail and head sets must have equal size")
-    return THWord(nodes, letters)
+    return THWord._of(nodes, letters)
 
 
 LOWER_DYCK = "lower"
@@ -281,11 +304,11 @@ def _oriented_simion_matching(rs: RuleSet, word: THWord) -> Matching:
     through the arrow-reversal involution (the word's letters swap) and the
     reflected dual (the word is reflected, reversed and its letters swap)."""
     if rs.thth == NONEST:
-        dual = THWord(word.positions, tuple(_SWAP[x] for x in word.letters))
+        dual = THWord._of(word.positions, tuple(_SWAP[x] for x in word.letters))
         return frozenset(a.reversed() for a in _oriented_simion_matching(rs.dual(), dual))
     if rs.thht == CROSS and rs.htth == NONCROSS:
         ends = word.positions[0] + word.positions[-1]
-        mirrored = THWord(
+        mirrored = THWord._of(
             tuple(ends - x for x in reversed(word.positions)),
             tuple(_SWAP[x] for x in reversed(word.letters)),
         )

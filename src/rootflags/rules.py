@@ -16,10 +16,11 @@ arrow reversal composed with node reflection) whose orbits partition the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
+
+from ._record import Record
 
 TYPE_WORDS = ("THTH", "HTHT", "THHT", "HTTH", "TTHH", "HHTT")
 
@@ -103,8 +104,7 @@ class ClassLabel(Enum):
         return self in (ClassLabel.SIMION_A, ClassLabel.SIMION_B, ClassLabel.SIMION_C)
 
 
-@dataclass(frozen=True)
-class PairRelation:
+class PairRelation(Record):
     """Outcome of comparing two distinct arrows.
 
     kind is one of "disjoint", "shared", "inadmissible".  For "disjoint"
@@ -112,10 +112,30 @@ class PairRelation:
     is "tail" or "head".
     """
 
-    kind: str
-    word: str | None = None
-    placement: str | None = None
-    shared: str | None = None
+    def __init__(
+        self,
+        kind: str,
+        word: str | None = None,
+        placement: str | None = None,
+        shared: str | None = None,
+    ):
+        self.__dict__.update(kind=kind, word=word, placement=placement, shared=shared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.word, self.placement, self.shared) == (
+            other.kind, other.word, other.placement, other.shared
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.word, self.placement, self.shared))
+
+    def __repr__(self) -> str:
+        return (
+            f"PairRelation(kind={self.kind!r}, word={self.word!r}, "
+            f"placement={self.placement!r}, shared={self.shared!r})"
+        )
 
 
 def pair_relation(a: Arrow, b: Arrow, n: int | None = None) -> PairRelation:
@@ -154,22 +174,28 @@ def pair_relation(a: Arrow, b: Arrow, n: int | None = None) -> PairRelation:
     return PairRelation("disjoint", word=word, placement=placement)
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(Record):
     """One of the 64 uniform edge rules: a choice per type word."""
 
-    thth: str
-    htht: str
-    thht: str
-    htth: str
-    tthh: str
-    hhtt: str
-
-    def __post_init__(self) -> None:
-        for word in TYPE_WORDS:
-            value = getattr(self, word.lower())
+    def __init__(self, thth: str, htht: str, thht: str, htth: str, tthh: str, hhtt: str):
+        for word, value in zip(TYPE_WORDS, (thth, htht, thht, htth, tthh, hhtt)):
             if value not in CHOICES[word]:
                 raise ValueError(f"{word} must be one of {CHOICES[word]}, got {value!r}")
+        self.__dict__.update(thth=thth, htht=htht, thht=thht, htth=htth, tthh=tthh, hhtt=hhtt)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.thth, self.htht, self.thht, self.htth, self.tthh, self.hhtt) == (
+            other.thth, other.htht, other.thht, other.htth, other.tthh, other.hhtt
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.thth, self.htht, self.thht, self.htth, self.tthh, self.hhtt))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{word.lower()}={self.choice(word)!r}" for word in TYPE_WORDS)
+        return f"RuleSet({fields})"
 
     def choice(self, word: str) -> str:
         return getattr(self, word.lower())

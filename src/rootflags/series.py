@@ -17,30 +17,44 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+from ._record import Record
+
 Exponents = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SeriesRing:
+class SeriesRing(Record):
     """A set of variable names with per-variable truncation orders."""
 
-    variables: tuple[str, ...]
-    orders: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.variables) != len(set(self.variables)):
-            raise ValueError(f"repeated variable in {self.variables}")
-        if len(self.variables) != len(self.orders):
+    def __init__(self, variables: Iterable[str], orders: Iterable[int]):
+        if isinstance(variables, str):
+            raise TypeError(f"variables must be a sequence of names, not the string {variables!r}")
+        variables, orders = tuple(variables), tuple(orders)
+        if not all(isinstance(v, str) for v in variables):
+            raise TypeError(f"variable names must be strings, got {variables}")
+        if len(variables) != len(set(variables)):
+            raise ValueError(f"repeated variable in {variables}")
+        if len(variables) != len(orders):
             raise ValueError("orders must align with variables")
-        if any(o < 0 for o in self.orders):
+        if any(o < 0 for o in orders):
             raise ValueError("orders must be nonnegative")
+        self.__dict__.update(variables=variables, orders=orders)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.variables == other.variables and self.orders == other.orders
+
+    def __hash__(self) -> int:
+        return hash((self.variables, self.orders))
+
+    def __repr__(self) -> str:
+        return f"SeriesRing(variables={self.variables!r}, orders={self.orders!r})"
 
     @cached_property
     def packing(self) -> "_Packing":
@@ -206,7 +220,7 @@ class Series:
 
     def _coerce(self, other) -> "Series | None":
         if isinstance(other, Series):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("series from different rings")
             return other
         return self.ring.const(other) if isinstance(other, (int, Fraction)) else None

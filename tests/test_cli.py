@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -452,3 +456,17 @@ def test_series_check_names_needs_a_name(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert "argument --names: expected at least one argument" in err
+
+
+def test_a_cold_cli_start_loads_neither_dataclasses_nor_inspect():
+    # every CLI run is a fresh interpreter (here without site, so that only
+    # the package's own imports count): importing the package and building
+    # the parser must not pull in the reflective modules, which cost more
+    # to load than a typical command takes
+    script = "import sys, rootflags.cli; rootflags.cli.build_parser(); print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "rootflags.cli" in loaded
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)

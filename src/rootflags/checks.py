@@ -41,7 +41,7 @@ class CheckResult(Record):
     """The outcome of one check: its name, verdict, one-line detail and the
     number of values it compared."""
 
-    def __init__(self, name: str, passed: bool, detail: str, compared: int = 0):
+    def __init__(self, name: str, passed: bool, detail: str, compared: int):
         self.__dict__.update(name=name, passed=passed, detail=detail, compared=compared)
 
     def __eq__(self, other):

@@ -121,10 +121,12 @@ def test_a_check_fails_when_it_compares_nothing(monkeypatch, name, zorder, empty
     assert result.detail == "1 mismatches; first: compared-nothing"
 
 
-def test_every_check_reports_what_it_compared():
+def test_every_check_reports_what_it_compared(count_calls):
+    calls = count_calls(checks, "_result")
     results = run_checks(zorder=5)
-    compared = {r.name: r.compared for r in results}
-    assert len(compared) == len(CHECKS)
+    compared = {name: count for name, _, _, count in calls}
+    assert len(calls) == len(compared) == len(CHECKS)
+    assert {r.name: r.compared for r in results} == compared
     assert [name for name, count in compared.items() if count <= 0] == []
     assert {r.name: r.to_json_dict()["compared"] for r in results} == compared
     # the table checks compare every cell: i + j <= n holds (n+1)(n+2)/2 cells

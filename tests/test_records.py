@@ -136,7 +136,6 @@ def test_fields_cannot_be_assigned_or_deleted(name):
 
 
 def test_defaults():
-    assert CheckResult("x", True, "ok") == CheckResult("x", True, "ok", 0)
     assert AxiomReport("linkage", True) == AxiomReport("linkage", True, ())
     assert AxiomReport("linkage", True).witnesses == ()
     relation = PairRelation("inadmissible")

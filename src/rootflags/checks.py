@@ -1,10 +1,10 @@
 """Oracle-vs-closed-form comparisons, packaged for the CLI and test suite.
 
 Every check pits an exact evaluator against an independent route: the
-face tables counted on the complexes, the end tallies of the clique DFS
-(both tested against face enumeration), literal lattice-path walks, or a
-second algebraic derivation.  Results are exact integer/rational comparisons; a
-check never loosens to a tolerance.
+face tables and role counts counted on the complexes (both tested against
+face enumeration), literal lattice-path walks, or a second algebraic
+derivation.  Results are exact integer/rational comparisons; a check never
+loosens to a tolerance.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from ._record import Record
 from .axioms import _compatible_trees, _ensemble_violations, _restriction_by_pattern
 from .complexes import (
     _count_order,
-    _end_tally,
     _excess_degrees,
+    _role_counts,
     dimension_face_count,
     excess_degree_formula,
     face_table,
@@ -287,15 +287,6 @@ def check_transfer_roundtrip(zorder: int) -> CheckResult:
     )
 
 
-def _saturated_at(nodes: int) -> int | None:
-    """The n at which a face on these node bits is saturated: its nodes are
-    exactly 1..n+1, or none for the empty face at n = 0."""
-    if not nodes:
-        return 0
-    n = nodes.bit_length() - 2
-    return n if nodes == (1 << n + 2) - 2 else None
-
-
 def _arrows_where(n: int, forward: bool) -> int:
     """The mask of the forward (or backward) arrows of V_n, over ``_count_order(n)``."""
     return sum(1 << v for v, a in enumerate(_count_order(n)) if a.forward == forward)
@@ -308,25 +299,24 @@ def prefix_refined_counts(
     the first i nodes of a face are heads; and the same for the nonempty
     saturated ones.
 
-    Reduced from one end tally of V_{n_max} on its backward arrows, whose
-    lower ends are the heads: by uniformity a face whose nodes lie in
-    1..m+1 is a face of every V_n with m <= n <= n_max."""
-    counts: dict[tuple[int, int, int], int] = {}
+    Reduced from the role counts of V_{n_max} on its backward arrows, whose
+    upper ends are the tails: the first i nodes of a saturated face are
+    heads for i one less than its least tail.  By uniformity the faces of
+    V_n on k+1 of its nodes are C(n+1, k+1) copies of the saturated faces
+    of V_k, with the same i."""
     saturated: dict[tuple[int, int, int], int] = {}
-    tally = _end_tally(rs.code, n_max, _arrows_where(n_max, False))
-    for (heads, tails, _, size), c in tally.items():
-        nodes = heads | tails
-        i = (nodes & (tails & -tails) - 1).bit_count()
-        for n in range(max(nodes.bit_length() - 2, 0), n_max + 1):
-            counts[i, size, n] = counts.get((i, size, n), 0) + c
-        n = _saturated_at(nodes)
-        if size and n is not None:
-            saturated[i, size, n] = saturated.get((i, size, n), 0) + c
+    roles = _role_counts(rs.code, n_max, _arrows_where(n_max, False))[0]
+    for (_, _, _, size, m, least), c in roles.items():
+        saturated[least - 1, size, m] = saturated.get((least - 1, size, m), 0) + c
+    counts = {(0, 0, n): 1 for n in range(n_max + 1)}  # the empty face
+    for (i, size, m), c in saturated.items():
+        for n in range(m, n_max + 1):
+            counts[i, size, n] = counts.get((i, size, n), 0) + comb(n + 1, m + 1) * c
     return counts, saturated
 
 
 def check_prefix_refined(zorder: int) -> CheckResult:
-    n_max = min(zorder, 7)
+    n_max = min(zorder, 10)
     brute, brute_sat = prefix_refined_counts(ALIASES["LEX_NN"], n_max)
     cells = list(itertools.product(range(n_max + 1), repeat=2))
     bad = []
@@ -359,21 +349,20 @@ def forward_saturated_groups(
     """Per n in 1..n_max, the nonempty forward-only saturated faces of V_n
     keyed (tails - 1, heads - 1, arrows).
 
-    Reduced from one end tally of V_{n_max} on its forward arrows, whose
+    Reduced from the role counts of V_{n_max} on its forward arrows, whose
     lower ends are the tails: by uniformity the saturated faces of V_n are
     the faces of the larger complex on exactly the nodes 1..n+1."""
     groups: dict[int, dict[tuple[int, int, int], int]] = {n: {} for n in range(1, n_max + 1)}
-    tally = _end_tally(rs.code, n_max, _arrows_where(n_max, True))
-    for (tails, heads, _, size), c in tally.items():
-        n = _saturated_at(tails | heads)
-        if size and n is not None:
-            key = (tails.bit_count() - 1, heads.bit_count() - 1, size)
-            groups[n][key] = groups[n].get(key, 0) + c
+    roles = _role_counts(rs.code, n_max, _arrows_where(n_max, True))[0]
+    for (u, v, _, size, n, _), c in roles.items():
+        # n+1-v nodes are tails and n+1-u are heads
+        key = (n - v, n - u, size)
+        groups[n][key] = groups[n].get(key, 0) + c
     return groups
 
 
 def check_forward_saturated_delannoy(zorder: int) -> CheckResult:
-    n_max = min(max(zorder, 1), 7)
+    n_max = min(max(zorder, 1), 10)
     bad = []
     compared = 0
     for name in ("SIMION_A_NN", "SIMION_C", "REVLEX_NN"):
@@ -494,16 +483,16 @@ def node_enriched_counts(rs: RuleSet, u_order: int, v_order: int) -> dict:
     face adds 1/(u! v!), where u counts the nodes that are only the lower
     end of arrows and v those that are only the upper end.
 
-    Reduced from one end tally of V_n, n = u_order + v_order - 1, on all its
-    arrows: by uniformity the saturated faces of a smaller V_m are the faces
-    on exactly the nodes 1..m+1."""
-    tally: dict[tuple[int, int, int, int, int], int] = {}
+    Reduced from the role counts of V_n, n = u_order + v_order - 1, on all
+    its arrows: by uniformity the saturated faces of a smaller V_m are the
+    faces on exactly the nodes 1..m+1."""
     top = u_order + v_order - 1
-    ends = _end_tally(rs.code, top, (1 << top * (top + 1)) - 1) if top >= 0 else {}
-    for (lower, upper, fwd, size), c in ends.items():
-        n = _saturated_at(lower | upper)
-        u, v = (lower & ~upper).bit_count(), (upper & ~lower).bit_count()
-        if n is not None and u <= u_order and v <= v_order:
+    if top < 0:
+        return {}
+    tally = {(0, 0, 0, 0, 0): 1}  # the empty face, saturated in V_0
+    roles = _role_counts(rs.code, top, (1 << top * (top + 1)) - 1)[0]
+    for (u, v, fwd, size, n, _), c in roles.items():
+        if u <= u_order and v <= v_order:
             key = (u, v, fwd, size - fwd, n)
             tally[key] = tally.get(key, 0) + c
     return {key: Fraction(c, factorial(key[0]) * factorial(key[1])) for key, c in tally.items()}

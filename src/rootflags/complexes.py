@@ -20,8 +20,10 @@ The count orders the arrows upper node first, which halves its memo, and
 resumes each sum from its longest memoised suffix, which halves its arrow
 steps (``_count_cliques``).
 The oracles of ``series check`` that need more than (forward, backward)
-read one end tally instead: the cliques inside a start mask counted by the
-nodes their arrows touch as lower and as upper ends (``_end_tally``).
+read one count by node roles instead: the saturated cliques inside a
+start mask by the nodes that are only lower ends and only upper ends,
+memoised on the candidate mask, the current upper node and the lower ends
+up to it (``_role_counts``).
 """
 
 from __future__ import annotations
@@ -212,32 +214,76 @@ def _iter_cliques(
     yield from rec(0, (1 << len(arrows)) - 1, 0)
 
 
-def _end_tally(code: int, n: int, start: int) -> dict[tuple[int, int, int, int], int]:
-    """Count the cliques of V_n inside the start mask (over ``_count_order(n)``) by their ends.
+def _role_counts(
+    code: int, n: int, start: int
+) -> tuple[dict[tuple[int, int, int, int, int, int], int], int]:
+    """The nonempty cliques of V_n inside the start mask (over ``_count_order(n)``)
+    whose nodes are exactly 1..m+1, counted by their node roles, and the
+    number of memo states.
 
-    A key is (lower, upper, forward, size): lower and upper OR the node bits
-    1 << min(arrow) and 1 << max(arrow) over the clique's arrows, forward
-    counts its forward arrows and size all of them.  The four values are
-    carried down the clique DFS, so a clique costs one dict update.
+    A key is (u, v, forward, size, m, least): u counts the nodes that are
+    only lower ends, v those that are only upper ends, forward the forward
+    arrows, size all of them, and least is the least upper node.
+
+    In the count order a clique takes its arrows by upper node descending.
+    Once an arrow with upper node x is taken, no later arrow touches a node
+    above x or makes x a lower end, so those nodes' roles are final, and a
+    node between two successive upper nodes that is no lower end yet stays
+    uncovered: that clique is dropped.  So the count of the rest depends
+    only on (candidate mask, lower ends up to x, x), its memo key; the
+    nodes above x are tallied once as it moves down.  Each m starts at a
+    virtual node m+2 marked as a lower end, which counts in neither u nor v
+    and admits only first arrows on node m+1.
     """
     arrows, masks = _adjacency(code, n, _count_order(n))
-    lower = [1 << min(arrow) for arrow in arrows]
-    upper = [1 << max(arrow) for arrow in arrows]
-    forward = [int(arrow.forward) for arrow in arrows]
-    tally: dict[tuple[int, int, int, int], int] = {}
-    get = tally.get
+    # a tally key packs (u, v, forward, size, least) into fields of w bits,
+    # from the top, so taking an arrow adds one int to every key
+    w = max(len(arrows), n + 2).bit_length()
+    upper = [max(arrow) for arrow in arrows]
+    lower_bit = [1 << min(arrow) for arrow in arrows]
+    step = [(arrow.forward << w | 1) << w for arrow in arrows]
+    memo: dict[tuple[int, int, int], dict[int, int]] = {}
+    lookup = memo.get
 
-    def rec(cand: int, lo: int, up: int, fwd: int, size: int) -> None:
-        key = (lo, up, fwd, size)
-        tally[key] = get(key, 0) + 1
+    def count(cand: int, lower: int, x: int) -> dict[int, int]:
+        key = (cand, lower, x)
+        got = lookup(key)
+        if got is not None:
+            return got
+        below = (1 << x) - 1
+        only_upper = 1 - (lower >> x & 1)
+        out: dict[int, int] = {}
+        if lower & below == below - 1:  # every node under x is a lower end
+            out[((x - 1 << w | only_upper) << 3 * w) + x] = 1
         while cand:
             low = cand & -cand
-            v = low.bit_length() - 1
+            a = low.bit_length() - 1
             cand ^= low
-            rec(cand & masks[v], lo | lower[v], up | upper[v], fwd + forward[v], size + 1)
+            y = upper[a]
+            if y == x:
+                rest, d = lower | lower_bit[a], step[a]
+            else:
+                kept = (2 << y) - 1
+                if (lower | kept) & below != below:  # a node between y and x stays uncovered
+                    continue
+                rest = lower & kept | lower_bit[a]
+                d = step[a] + ((x - y - 1 << w | only_upper) << 3 * w)
+            for k, c in count(cand & masks[a], rest, y).items():
+                k += d
+                out[k] = out.get(k, 0) + c
+        memo[key] = out
+        return out
 
-    rec(start, 0, 0, 0, 0)
-    return tally
+    field = (1 << w) - 1
+    counts = {}
+    for m in range(1, n + 1):
+        above = n * (n + 1) - m * (m + 1)  # the arrows with an upper node above m+1
+        for k, c in count(start >> above << above, 1 << m + 2, m + 2).items():
+            u, v, f, s, least = (k >> w * i & field for i in range(4, -1, -1))
+            counts[u, v, f, s, m, least] = c
+    states = len(memo)
+    memo.clear()  # count is a reference cycle: free the table now
+    return counts, states
 
 
 class Face(Record):

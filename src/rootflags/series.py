@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb, factorial, gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -425,24 +425,33 @@ def catalan_series(order: int) -> Series:
     return catalan_of(ring.var("u"))
 
 
-@lru_cache(maxsize=4096)
+#: Row x holds delannoy_poly(x, y) for y = 0, 1, ...; rows grow on demand and
+#: no row is longer than the one before it.
+_DELANNOY_ROWS: list[list[tuple[int, ...]]] = []
+
+
 def delannoy_poly(a: int, b: int) -> tuple[int, ...]:
     """Coefficient j = number of j-step lattice paths to (a, b) with north,
-    east and diagonal steps, by dynamic programming.  The delannoy-routes
-    check compares it with the binomial expansion and a literal walk."""
+    east and diagonal steps, by dynamic programming: a corner's polynomial
+    is x times the sum of its three predecessors'.  Each corner is built
+    once per process, so a loop over a grid of corners costs one cell each.
+    The delannoy-routes check compares it with the binomial expansion and
+    a literal walk."""
     if a < 0 or b < 0:
         raise ValueError("corner coordinates must be nonnegative")
-    table: dict[tuple[int, int], list[int]] = {(0, 0): [1]}
+    rows = _DELANNOY_ROWS
+    while len(rows) <= a:
+        rows.append([])
     for x in range(a + 1):
-        for y in range(b + 1):
-            if (x, y) == (0, 0):
-                continue
+        row = rows[x]
+        for y in range(len(row), b + 1):
             acc = [0] * (x + y + 1)
             for px, py in ((x - 1, y), (x, y - 1), (x - 1, y - 1)):
-                for j, c in enumerate(table.get((px, py), ())):  # no paths off the grid
-                    acc[j + 1] += c
-            table[(x, y)] = acc
-    return tuple(table[(a, b)])
+                if px >= 0 and py >= 0:  # no paths off the grid
+                    for j, c in enumerate(rows[px][py]):
+                        acc[j + 1] += c
+            row.append(tuple(acc) if x or y else (1,))
+    return rows[a][b]
 
 
 def delannoy_number(a: int, b: int) -> int:

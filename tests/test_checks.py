@@ -174,13 +174,13 @@ def test_excess_formula_horizon_follows_zorder(zorder, n_max):
     assert result.passed and result.detail.endswith(f"n <= {n_max}")
 
 
-@pytest.mark.parametrize("zorder, n_max", [(0, 0), (5, 5), (6, 6), (7, 7), (12, 7)])
+@pytest.mark.parametrize("zorder, n_max", [(0, 0), (5, 5), (6, 6), (7, 7), (12, 10)])
 def test_prefix_refined_horizon_follows_zorder(zorder, n_max):
     result = checks.check_prefix_refined(zorder)
     assert result.passed and result.detail.endswith(f"n <= {n_max}")
 
 
-@pytest.mark.parametrize("zorder, n_max", [(0, 1), (5, 5), (6, 6), (7, 7), (12, 7)])
+@pytest.mark.parametrize("zorder, n_max", [(0, 1), (5, 5), (6, 6), (7, 7), (12, 10)])
 def test_forward_saturated_horizon_follows_zorder(zorder, n_max):
     result = checks.check_forward_saturated_delannoy(zorder)
     assert result.passed and result.detail.endswith(f"n <= {n_max}")

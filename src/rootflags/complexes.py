@@ -218,22 +218,18 @@ def _role_counts(
     code: int, n: int, start: int
 ) -> tuple[dict[tuple[int, int, int, int, int, int], int], int]:
     """The nonempty cliques of V_n inside the start mask (over ``_count_order(n)``)
-    whose nodes are exactly 1..m+1, counted by their node roles, and the
-    number of memo states.
+    whose nodes are exactly 1..m+1, by (u, v, forward, size, m, least), and
+    the number of memo states: u counts the nodes that are only lower ends,
+    v those only upper ends, forward the forward arrows, size all arrows,
+    and least is the least upper node.
 
-    A key is (u, v, forward, size, m, least): u counts the nodes that are
-    only lower ends, v those that are only upper ends, forward the forward
-    arrows, size all of them, and least is the least upper node.
-
-    In the count order a clique takes its arrows by upper node descending.
-    Once an arrow with upper node x is taken, no later arrow touches a node
-    above x or makes x a lower end, so those nodes' roles are final, and a
-    node between two successive upper nodes that is no lower end yet stays
-    uncovered: that clique is dropped.  So the count of the rest depends
-    only on (candidate mask, lower ends up to x, x), its memo key; the
-    nodes above x are tallied once as it moves down.  Each m starts at a
-    virtual node m+2 marked as a lower end, which counts in neither u nor v
-    and admits only first arrows on node m+1.
+    A clique takes its arrows by upper node descending.  Once one with upper
+    node x is taken, no later arrow touches a node above x or makes x a
+    lower end, so those roles are final, and a node skipped between two
+    upper nodes is never covered: that clique is dropped.  So the count of
+    the rest is memoised on (candidate mask, lower ends up to x, x).  Each m
+    starts at a virtual node m+2 marked as a lower end: it counts in neither
+    u nor v and admits only first arrows on node m+1.
     """
     arrows, masks = _adjacency(code, n, _count_order(n))
     # a tally key packs (u, v, forward, size, least) into fields of w bits,

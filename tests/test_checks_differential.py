@@ -6,10 +6,10 @@ cliques by node roles, memoised on the adjacency masks
 (``complexes._role_counts``).  Two oracles walk every clique instead: the
 end tally of ``conftest``, a DFS on the same masks, with the reductions it
 used to feed kept here; and ``Face`` objects from ``enumerate_faces``
-(shared by the oracles through ``conftest``), with the node sets built as
-Python sets.  The excess degrees of
-``complexes._excess_degrees`` are popcounts of the masks; their oracle is
-the pairwise count ``excess_degree``.
+(walked once per session through ``conftest``), with the node sets built
+as Python sets.  The excess degrees of ``complexes._excess_degrees`` are
+popcounts of the masks; their oracle is the pairwise count
+``excess_degree``.
 """
 
 from fractions import Fraction

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import brute_series as brute
+from rootflags import series
+from rootflags.checks import delannoy_binomial
 from rootflags.series import (
     Series,
     SeriesRing,
@@ -172,6 +174,15 @@ def test_delannoy_polynomials():
             walk = brute_delannoy_paths(a, b)
             poly = delannoy_poly(a, b)
             assert {j: c for j, c in enumerate(poly) if c} == walk
+
+
+def test_delannoy_polynomials_in_any_request_order(monkeypatch):
+    # the grid grows by rows and by columns as corners are asked for: a wide
+    # corner, a tall one, a wider one, then every corner of the square
+    monkeypatch.setattr(series, "_DELANNOY_ROWS", [])
+    corners = [(0, 9), (6, 2), (3, 12), (12, 0)] + [(a, b) for a in range(13) for b in range(13)]
+    for a, b in corners:
+        assert list(delannoy_poly(a, b)) == delannoy_binomial(a, b), (a, b)
 
 
 def test_delannoy_genfunc_extraction():

@@ -1,5 +1,5 @@
-"""Shared fixtures: walk oracles cached for the whole session, and the
-walk oracle of the role counts."""
+"""Shared fixtures, among them walk oracles cached for the whole session:
+the end tally behind the role counts and the ``Face`` lists."""
 
 from functools import lru_cache
 

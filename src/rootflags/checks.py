@@ -23,9 +23,9 @@ from .complexes import (
     _count_order,
     _excess_degrees,
     _role_counts,
+    _tables_upto,
     dimension_face_count,
     excess_degree_formula,
-    face_table,
 )
 from .rules import (
     ALIASES,
@@ -157,17 +157,20 @@ def _table_mismatches(
     cells: Callable[[int], Iterable[tuple[int, int]]], want: Callable[..., object],
 ) -> tuple[list[tuple], int]:
     """Compare ``face_table(rs, n, selector)`` with ``want(rs, n, i, j)`` on
-    the cells (i, j) of ``cells(n)``, reading each table once.  Returns the
-    mismatches as (letters, n, i, j, want, got) and the number of cells
-    compared."""
+    the cells (i, j) of ``cells(n)``, reading every table of a code off one
+    count at the largest n.  Returns the mismatches as (letters, n, i, j,
+    want, got) and the number of cells compared."""
     bad, compared = [], 0
-    for rs, n in itertools.product(codes, ns):
-        table = face_table(rs, n, selector)
-        for i, j in cells(n):
-            compared += 1
-            expected, got = want(rs, n, i, j), table.coefficient(i, j)
-            if expected != got:
-                bad.append((rs.letters, n, i, j, str(expected), got))
+    ns = list(ns)
+    for rs in codes:
+        tables = _tables_upto(rs, max(ns, default=-1), selector)
+        for n in ns:
+            table = tables[n]
+            for i, j in cells(n):
+                compared += 1
+                expected, got = want(rs, n, i, j), table.coefficient(i, j)
+                if expected != got:
+                    bad.append((rs.letters, n, i, j, str(expected), got))
     return bad, compared
 
 
@@ -390,12 +393,14 @@ def check_forward_saturated_delannoy(zorder: int) -> CheckResult:
 
 def check_forest_polynomials(zorder: int) -> CheckResult:
     k_max = min(max(zorder - 1, 2), 5)
+    polys = {(k, i): srs.lex_mixed_forest_poly(k, i) for k in range(1, k_max + 1)
+             for i in range(k + 1)}
     # saturated k-arrow faces on m = n + 1 nodes, k + 1 <= m <= 2k, split by
     # forward arrows i
     bad, compared = _table_mismatches(
         [ALIASES["LEX_NN"], ALIASES["LEX_XX"]], range(1, 2 * k_max), "saturated",
         lambda n: [c for k in range(n // 2 + 1, min(n, k_max) + 1) for c in _top(k)],
-        lambda rs, n, i, j: srs.lex_mixed_forest_poly(i + j, i).coefficient(z=n + 1),
+        lambda rs, n, i, j: polys[i + j, i].coefficient(z=n + 1),
     )
     return _result(
         "forest-node-polynomials",
@@ -567,8 +572,7 @@ def check_f_vector(zorder: int) -> CheckResult:
     reference: dict[tuple, Mapping] = {}
     for rs in valid_rulesets():
         label = classify(rs)
-        for n in range(n_max + 1):
-            table = face_table(rs, n)
+        for n, table in enumerate(_tables_upto(rs, n_max)):
             compared += 1
             dims = table.by_dimension()
             for k in range(n + 1):
@@ -593,15 +597,18 @@ def check_dual_symmetry(zorder: int) -> CheckResult:
     bad = []
     compared = 0
     for rs in valid_rulesets():
+        # the dual sides are counted on their own codes, not derived from rs
+        tables, sats = _tables_upto(rs, n_max), _tables_upto(rs, n_max, "saturated")
+        dual = rs.dual()
+        duals, dual_sats = _tables_upto(dual, n_max), _tables_upto(dual, n_max, "saturated")
+        reflected = _tables_upto(rs.reflected_dual(), n_max)
         for n in range(n_max + 1):
             compared += 3
-            table = face_table(rs, n)
-            if face_table(rs.dual(), n) != table.transpose():
+            if duals[n] != tables[n].transpose():
                 bad.append((rs.letters, n, "dual"))
-            if face_table(rs.reflected_dual(), n) != table:
+            if reflected[n] != tables[n]:
                 bad.append((rs.letters, n, "reflected-dual"))
-            sat = face_table(rs, n, "saturated")
-            if face_table(rs.dual(), n, "saturated") != sat.transpose():
+            if dual_sats[n] != sats[n].transpose():
                 bad.append((rs.letters, n, "dual-saturated"))
     return _result(
         "dual-symmetry",

@@ -16,6 +16,9 @@ with it, on narrowed masks or with a subtree prune.
 Face tables are counted, not walked: a clique count memoised on the
 candidate mask yields the (forward, backward) polynomial of every complex
 V_m, m <= n, at once, and the saturated tables follow by binomial inversion.
+``_face_counts`` keeps these packed polynomials per (code, n), and
+``_face_tables`` unpacks the three tables of one m when they are asked for,
+so a sweep over m <= n reads one count of V_n (``_tables_upto``).
 The count orders the arrows upper node first, which halves its memo, and
 resumes each sum from its longest memoised suffix, which halves its arrow
 steps (``_count_cliques``).
@@ -447,7 +450,9 @@ def _count_cliques(
 
 
 @lru_cache(maxsize=1024)
-def _face_tables(code: int, n: int) -> dict[str, dict[tuple[int, int], int]]:
+def _face_counts(code: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """The packed all-face and saturated polynomials of every V_m, m <= n,
+    from one count of V_n, with the slot width and dim they are packed with."""
     arrows, masks = _adjacency(code, n, _count_order(n))
     # By uniformity the arrows inside nodes 1..m+1 span a copy of the
     # complex at size m, with the same forward and backward arrows.
@@ -468,6 +473,14 @@ def _face_tables(code: int, n: int) -> dict[str, dict[tuple[int, int], int]]:
         saturated.append(
             polys[m] - 1 - sum(comb(m + 1, k + 1) * saturated[k] for k in range(1, m))
         )
+    return tuple(polys), tuple(saturated), width, dim
+
+
+@lru_cache(maxsize=1024)
+def _face_tables(code: int, n: int, m: int) -> dict[str, dict[tuple[int, int], int]]:
+    """The three tables of V_m, m <= n, read off the count of V_n.  V_m has
+    no more arrows in a face than V_n, so its cells fit the same packing."""
+    polys, saturated, width, dim = _face_counts(code, n)
     slot = (1 << width) - 1
 
     def cells(poly: int, dims: Iterable[int]) -> dict[tuple[int, int], int]:
@@ -480,9 +493,9 @@ def _face_tables(code: int, n: int) -> dict[str, dict[tuple[int, int], int]]:
         return out
 
     return {
-        "all": cells(polys[n], range(dim + 1)),
-        "saturated": cells(saturated[n], range(dim + 1)),
-        "facets": cells(polys[n], (n,)),
+        "all": cells(polys[m], range(dim + 1)),
+        "saturated": cells(saturated[m], range(dim + 1)),
+        "facets": cells(polys[m], (m,)),
     }
 
 
@@ -495,7 +508,16 @@ def face_table(rs: RuleSet, n: int, selector: str = "all", force: bool = False) 
     if selector not in SELECTORS:
         raise ValueError(f"selector must be one of {SELECTORS}, got {selector!r}")
     check_resource_cap(n, force)
-    return FaceTable(n, selector, dict(_face_tables(rs.code, n)[selector]))
+    return FaceTable(n, selector, dict(_face_tables(rs.code, n, n)[selector]))
+
+
+def _tables_upto(rs: RuleSet, n: int, selector: str = "all") -> list[FaceTable]:
+    """``face_table(rs, m, selector)`` for m = 0..n, read off one count of V_n."""
+    if n < 0:
+        return []
+    check_resource_cap(n)
+    code = rs.code
+    return [FaceTable(m, selector, dict(_face_tables(code, n, m)[selector])) for m in range(n + 1)]
 
 
 def dimension_face_count(n: int, k: int) -> int:
@@ -520,7 +542,7 @@ def excess_degree(rs: RuleSet, n: int, arrow: Arrow) -> int:
 
 def _excess_degrees(code: int, n: int) -> list[tuple[Arrow, int]]:
     """Every arrow of V_n, in ``_count_order(n)``, with its neighbours that
-    share no endpoint, read off the masks that ``_face_tables`` caches."""
+    share no endpoint, read off the masks that ``_face_counts`` counts on."""
     arrows, masks = _adjacency(code, n, _count_order(n))
     shared = _pair_classes(n, arrows)[1]
     return [(arrow, (mask & ~s).bit_count()) for arrow, mask, s in zip(arrows, masks, shared)]

@@ -5,8 +5,8 @@ this module.  A series is stored as integer numerators over one common
 denominator, keyed by exponent vectors packed into single ints, and
 truncated per variable.  Division is only by units (nonzero constant term)
 or by pure monomials that divide every term, and square roots are never
-taken: every closed form involving the Catalan generating function is
-evaluated through its quadratic fixed point.
+taken: every closed form involving the Catalan generating function sums
+its Catalan coefficients by Horner's rule (``catalan_of``).
 
 Conventions for the formal variables: x marks forward arrows, y backward
 arrows, t the ambient size for all-face counts, z the ambient size for
@@ -405,18 +405,25 @@ def catalan_number(k: int) -> int:
 
 
 def catalan_of(inner: Series) -> Series:
-    """C(inner) for an inner series with zero constant term, via the
-    quadratic fixed point S = 1 + inner * S^2."""
+    """C(inner) = sum_k c_k inner^k for an inner series with zero constant
+    term, the solution of S = 1 + inner * S^2.
+
+    The c_k follow the quadratic's recurrence c_(k+1) = sum_i c_i c_(k-i)
+    on ints.  inner^k has total degree at least k times inner's least one,
+    so the terms stop at k = budget // that degree, and the sum is taken by
+    Horner's rule: one product with the small inner per step."""
     if inner.constant_term():
         raise ValueError("inner series must have zero constant term")
     ring = inner.ring
-    s = ring.one()
-    for _ in range(ring.total_budget() + 2):
-        nxt = ring.one() + inner * s * s
-        if nxt == s:
-            return s
-        s = nxt
-    raise AssertionError("catalan fixed point failed to stabilize")
+    if not inner:
+        return ring.one()
+    c = [1]
+    for k in range(ring.total_budget() // inner.min_total_degree()):
+        c.append(sum(c[i] * c[k - i] for i in range(k + 1)))
+    s = ring.const(c.pop())
+    while c:
+        s = s * inner + c.pop()
+    return s
 
 
 def catalan_series(order: int) -> Series:
@@ -515,16 +522,12 @@ def transfer(series: Series, direction: str, has_empty: bool) -> Series:
 
 def backward_only_series(y_order: int, t_order: int) -> Series:
     """All-face series of the backward-arrow subcomplex when HTHT pairs do
-    not nest, from the quadratic F = 1 + t F + y t F^2."""
+    not nest, the solution of the quadratic F = 1 + t F + y t F^2, as
+    C(yt/(1-t)^2) / (1-t): G = (1-t) F solves G = 1 + (yt/(1-t)^2) G^2."""
     ring = SeriesRing(("y", "t"), (y_order, t_order))
     y, t = ring.var("y"), ring.var("t")
-    f = ring.one()
-    for _ in range(t_order + 1):
-        nxt = ring.one() + t * f + y * t * f * f
-        if nxt == f:
-            break
-        f = nxt
-    return f
+    geom = (ring.one() - t).inverse()
+    return catalan_of(y * t * geom * geom) * geom
 
 
 def backward_only_coefficient(n: int, j: int) -> Fraction:

@@ -10,7 +10,9 @@ total that cancels to zero on the spot.  ``coeffs`` of the library's result
 must equal the oracle's dict exactly.
 
 The subset sum that ``catalan_run_identity`` replaced with a transfer over
-positions is kept here as its oracle.
+positions is kept here as its oracle, and so are the quadratic fixed-point
+iterations that ``catalan_of`` and ``backward_only_series`` replaced with a
+Horner sum of the Catalan coefficients.
 """
 
 from __future__ import annotations
@@ -155,3 +157,30 @@ def catalan_run_identity(k: int, i: int) -> int:
             product *= catalan_number(run)
         total += product
     return total
+
+
+def catalan_fixed_point(inner: Series) -> Series:
+    """C(inner) as the fixed point of S = 1 + inner * S^2, iterated from S = 1;
+    each round fixes at least one more total degree."""
+    ring = inner.ring
+    s = ring.one()
+    for _ in range(ring.total_budget() + 2):
+        nxt = ring.one() + inner * s * s
+        if nxt == s:
+            return s
+        s = nxt
+    raise AssertionError("catalan fixed point failed to stabilize")
+
+
+def backward_only_fixed_point(y_order: int, t_order: int) -> Series:
+    """The backward-only series as the fixed point of F = 1 + t F + y t F^2,
+    iterated from F = 1; each round fixes at least one more power of t."""
+    ring = SeriesRing(("y", "t"), (y_order, t_order))
+    y, t = ring.var("y"), ring.var("t")
+    f = ring.one()
+    for _ in range(t_order + 1):
+        nxt = ring.one() + t * f + y * t * f * f
+        if nxt == f:
+            break
+        f = nxt
+    return f

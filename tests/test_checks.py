@@ -1,7 +1,8 @@
 import pytest
 
-from rootflags import checks
+from rootflags import checks, complexes
 from rootflags.checks import CHECKS, CheckResult, check_delannoy_routes, run_checks
+from rootflags.rules import ALIASES
 
 
 def test_registry_names_are_stable():
@@ -145,6 +146,19 @@ def test_every_check_reports_what_it_compared(count_calls):
         "lex-refined-cells": 4 * sum(triangle),
     }
     assert {name: compared[name] for name in cells} == cells
+
+
+def test_dual_symmetry_counts_the_dual_sides_itself(monkeypatch, count_calls):
+    # with SIMION_B_NN the only code swept, a check that derived the dual
+    # tables from its own would count one code
+    rs = ALIASES["SIMION_B_NN"]
+    monkeypatch.setattr(checks, "valid_rulesets", lambda: [rs])
+    complexes._face_tables.cache_clear()
+    calls = count_calls(complexes, "_face_counts")
+    result = checks.check_dual_symmetry(5)
+    assert result.passed and result.compared == 18
+    want = {(side.code, 5) for side in (rs, rs.dual(), rs.reflected_dual())}
+    assert len(want) == 3 and set(calls) == want
 
 
 def test_run_checks_refuses_a_negative_zorder_before_any_check(count_calls):

@@ -5,8 +5,11 @@ saturated table by binomial inversion; the oracle here walks every face and
 tallies it by (forward, backward) arrows, testing saturation and the facet
 size on the face itself.  The count runs over the arrows in count order
 (``complexes._count_order``); a second oracle runs the same count on the
-index-order masks of ``_adjacency(code, n)``.  The count itself is also
-compared, on random graphs, with a tally of every subset of each start mask.
+index-order masks of ``_adjacency(code, n)``.  The tables of every V_m,
+m <= n, that the checks read off one count of V_n
+(``complexes._tables_upto``) are compared with the count of V_m alone.  The
+count itself is also compared, on random graphs, with a tally of every
+subset of each start mask.
 """
 
 from itertools import combinations
@@ -51,6 +54,19 @@ def test_orbit_representatives_match_enumeration_at_n6(alias):
     assert_tables_match(ALIASES[alias], 6)
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_tables_read_off_the_count_of_v_n_equal_the_count_at_m(n):
+    # the invalid codes too: code 28 has faces of m + 1 arrows from m = 5 on,
+    # so its count at n = 6 packs the tables of m < 5 wider than their own
+    for code in range(64):
+        rs = RuleSet.from_code(code)
+        for selector in SELECTORS:
+            tables = complexes._tables_upto(rs, n, selector)
+            assert tables == [face_table(rs, m, selector) for m in range(n + 1)], (code, selector)
+    if n == 6:
+        assert [complexes._face_counts(28, m)[3] for m in (4, 6)] == [4, 7]
+
+
 def test_circuit_faces_are_counted_beyond_n_arrows():
     # code 28 has circuits at n = 5, faces with n + 1 arrows, which do not
     # fit the first packing of the count and force it to widen
@@ -76,13 +92,13 @@ def memo_states(monkeypatch):
 
 @pytest.mark.parametrize("n", [7, pytest.param(8, marks=pytest.mark.slow)])
 def test_count_order_tables_equal_the_index_order_count(monkeypatch, memo_states, n):
-    got = [complexes._face_tables.__wrapped__(code, n) for code in range(64)]
+    got = [complexes._face_counts.__wrapped__(code, n) for code in range(64)]
     upper_first = sum(memo_states)
     # the oracle: the same count on the masks of _adjacency(code, n), whose
-    # arrows are in index order
+    # arrows are in index order; the packed polynomials of every m <= n agree
     monkeypatch.setattr(complexes, "_count_order", lambda n: None)
     for code in range(64):
-        assert complexes._face_tables.__wrapped__(code, n) == got[code], code
+        assert complexes._face_counts.__wrapped__(code, n) == got[code], code
     assert upper_first < sum(memo_states) - upper_first
 
 
@@ -90,7 +106,7 @@ def test_count_order_memo_states_are_pinned(memo_states):
     # the memo size of SIMION_C, one count per n; the index order has
     # 6,540 states at n = 8 and 17,507 at n = 9
     for n in (8, 9):
-        complexes._face_tables.__wrapped__(ALIASES["SIMION_C"].code, n)
+        complexes._face_counts.__wrapped__(ALIASES["SIMION_C"].code, n)
     assert memo_states == [2382, 5561]
 
 

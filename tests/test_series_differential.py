@@ -12,7 +12,9 @@ sparse, with negative and non-integral coefficients and terms at the order
 boundary, and half of the pairs are (P + Q, P - Q), whose cross terms
 cancel.  The series functions that are made of products (``__pow__``,
 ``catalan_of``, ``simion_saturated_series``) are compared with the same
-functions run on the oracle multiplication.
+functions run on the oracle multiplication.  ``catalan_of`` and
+``backward_only_series`` sum Catalan coefficients by Horner's rule; they are
+also compared with the quadratic fixed-point iterations they replaced.
 """
 
 from fractions import Fraction
@@ -23,7 +25,13 @@ from hypothesis import given, settings, strategies as st
 
 import brute_series as brute
 from brute_series import brute_mul
-from rootflags.series import Series, SeriesRing, catalan_of, simion_saturated_series
+from rootflags.series import (
+    Series,
+    SeriesRing,
+    backward_only_series,
+    catalan_of,
+    simion_saturated_series,
+)
 
 VARIABLES = "abcde"
 
@@ -246,6 +254,40 @@ def test_catalan_of_matches_brute(data):
     f = data.draw(series_in(ring))
     inner = f - f.constant_term()
     assert_same(catalan_of(inner), with_brute_mul(catalan_of, inner))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), least=st.integers(1, 3))
+def test_catalan_of_matches_the_fixed_point(data, least):
+    # inners of least total degree >= least: the Horner sum runs
+    # budget // least steps
+    ring = data.draw(rings(max_vars=3, max_order=4))
+    f = data.draw(series_in(ring))
+    inner = ring.from_terms((e, c) for e, c in f.coeffs.items() if sum(e) >= least)
+    assert_same(catalan_of(inner), brute.catalan_fixed_point(inner))
+
+
+def test_catalan_of_edge_inners_match_the_fixed_point():
+    empty, flat = SeriesRing((), ()), SeriesRing(("a", "b"), (4, 0))
+    square = SeriesRing(("a", "b"), (5, 5))
+    a, b = square.var("a"), square.var("b")
+    cases = [
+        empty.zero(),
+        flat.zero(),
+        square.zero(),
+        flat.var("a") * Fraction(-2, 3),  # the last variable has order 0
+        a * b - 2 * a * a,  # least degree 2
+        a ** 3 + a * b * b * Fraction(1, 2) - b ** 5,  # least degree 3
+    ]
+    for inner in cases:
+        assert_same(catalan_of(inner), brute.catalan_fixed_point(inner))
+
+
+def test_backward_only_series_matches_the_fixed_point():
+    for y_order in range(13):
+        for t_order in range(13):
+            fast = backward_only_series(y_order, t_order)
+            assert_same(fast, brute.backward_only_fixed_point(y_order, t_order))
 
 
 @pytest.mark.parametrize("nesting", ["THTH", "HTHT"])

@@ -24,8 +24,9 @@ matchings/forests as frozensets of edges; inside, an edge set is an int with
 edge (l, r) at bit (l-1)*b + (r-1), and the ensemble axioms, the
 matchings within a restriction and the spanning trees run on these edge
 masks.  Per K_{a,b} one table holds, for each spanning tree, the index
-masks of the matchings it alternates with and of those inside it, so that
-phi_inverse and tree compatibility are bit tests.
+masks of the matchings it alternates with (read off the halves of the
+cycles of K_{a,b}) and of those inside it, so that phi_inverse and tree
+compatibility are bit tests.
 """
 
 from __future__ import annotations
@@ -597,12 +598,13 @@ def _ensemble_violations(
     family of matchings of K_{a,b} as edge masks: all of them, or the first.
 
     Closure: each matching less any one edge is in the family.  Support:
-    each k-subset pair of the parts is the vertex mask of exactly one
-    matching.  Linkage: a vertex outside a nonempty matching is absorbed by
-    trading one edge for an edge at that vertex; as the family holds only
+    each k-subset pair of the parts is the vertex mask (the OR of the edges'
+    ends) of exactly one matching.  Linkage: a vertex outside a nonempty
+    matching is absorbed by trading one edge for an edge at that vertex, an
+    edge that completes the rest to a member; as the family holds only
     matchings, a trade found in it is a matching.
     """
-    stars = _stars(a, b)[0]
+    ends = [1 << k // b | 1 << a + k % b for k in range(a * b)]
     witnesses: list[Violation] = []
 
     def bail(axiom: str, detail: dict) -> bool:
@@ -620,8 +622,7 @@ def _ensemble_violations(
                 return witnesses
     by_vertices: dict[int, list[int]] = {}
     for m in family:
-        key = sum(1 << v for v, star in enumerate(stars) if star & m)
-        by_vertices.setdefault(key, []).append(m)
+        by_vertices.setdefault(reduce(or_, (ends[k] for k in _ones(m)), 0), []).append(m)
     for k in range(1, min(a, b) + 1):
         for lefts, rights in itertools.product(
             itertools.combinations(range(a), k), itertools.combinations(range(b), k)
@@ -634,15 +635,18 @@ def _ensemble_violations(
                 "matchings": sorted(map(edges, hits)),
             }):
                 return witnesses
+    absorbed: dict[int, int] = {}  # per member less one edge, the ends that complete it
     for m in family:
-        rests = [m ^ 1 << k for k in _ones(m)]
-        for v, star in enumerate(stars):
-            if m and not star & m and not any(
-                rest | 1 << e in family for rest in rests for e in _ones(star)
-            ):
-                vertex = ["L", v + 1] if v < a else ["R", v - a + 1]
-                if bail("linkage", {"matching": edges(m), "vertex": vertex}):
-                    return witnesses
+        for k in _ones(m):
+            absorbed[m ^ 1 << k] = absorbed.get(m ^ 1 << k, 0) | ends[k]
+    everyone = (1 << a + b) - 1
+    for m in family:
+        # the ORs also hold m's own ends, so what they miss is outside m
+        reach = reduce(or_, (absorbed[m ^ 1 << k] for k in _ones(m)), 0)
+        for v in _ones(everyone & ~reach if m else 0):
+            vertex = ["L", v + 1] if v < a else ["R", v - a + 1]
+            if bail("linkage", {"matching": edges(m), "vertex": vertex}):
+                return witnesses
     return witnesses
 
 
@@ -711,6 +715,8 @@ def phi(trees: Iterable[EdgeSet], a: int, b: int) -> BipartiteEnsemble:
 
 def spanning_trees(a: int, b: int) -> list[EdgeSet]:
     """All spanning trees of K_{a,b}."""
+    if a < 1 or b < 1:
+        raise ValueError("both parts must be nonempty")
     return [_edge_set(tree, b) for tree in _spanning_trees(a, b)]
 
 
@@ -768,16 +774,41 @@ def _alternates(a: int, b: int, edges: int, matching: int) -> bool:
 
 
 @lru_cache(maxsize=16)
+def _cycle_halves(a: int, b: int) -> tuple[tuple[int, int], ...]:
+    """The simple cycles of length >= 4 of K_{a,b}, each as its two perfect
+    matchings in both orders (half, other), as edge masks: the cycle
+    l_0 r_0 l_1 r_1 ... l_{k-1} r_{k-1} splits into (l_i, r_i) and
+    (l_{i+1}, r_i), and with l_0 the least left vertex each cycle is listed
+    once per direction."""
+    pairs = []
+    for k in range(2, min(a, b) + 1):
+        for lefts in itertools.combinations(range(a), k):
+            for rest in itertools.permutations(lefts[1:]):
+                ring = lefts[:1] + rest
+                for rights in itertools.permutations(range(b), k):
+                    half = sum(1 << l * b + r for l, r in zip(ring, rights))
+                    other = sum(1 << l * b + r for l, r in zip(ring[1:] + ring[:1], rights))
+                    pairs.append((half, other))
+    return tuple(pairs)
+
+
+@lru_cache(maxsize=16)
 def _tree_table(a: int, b: int) -> tuple[dict[int, int], tuple[tuple[int, int, int], ...]]:
     """The matchings of K_{a,b} as one-bit index masks, and per spanning tree
     (in order) a row: the tree, the index mask of the matchings of two or
     more edges it has an alternating cycle with, and that of the matchings
     inside it.  Two trees alternate when one alternates with a matching
-    inside the other."""
+    inside the other.  On an alternating cycle the matching's edges are one
+    half of the cycle and the tree's the other, so a tree conflicts with
+    the matchings that hold a half whose other half lies in the tree."""
     index = {m: 1 << i for i, m in enumerate(_matchings_in(a, b, (1 << a * b) - 1))}
+    holding = [
+        (other, sum(bit for m, bit in index.items() if m & half == half))
+        for half, other in _cycle_halves(a, b)
+    ]
     rows = []
     for tree in _spanning_trees(a, b):
-        conflicts = sum(bit for m, bit in index.items() if m & m - 1 and _alternates(a, b, tree, m))
+        conflicts = reduce(or_, (bits for other, bits in holding if other & tree == other), 0)
         rows.append((tree, conflicts, sum(index[m] for m in _matchings_in(a, b, tree))))
     return index, tuple(rows)
 

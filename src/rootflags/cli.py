@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 from functools import cache
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from . import checks as checks_mod
@@ -362,7 +363,10 @@ def cmd_series_dump(args: argparse.Namespace) -> int:
     _check_orders(args, "zorder", "xyorder", "uvorder", "index")
     series: Series = builder(args)
     header = list(series.ring.variables) + ["numerator", "denominator"]
-    rows = (list(exps) + [coeff.numerator, coeff.denominator] for exps, coeff in series.items())
+    unpack, den = series.ring.packing.unpack, series.den
+    terms = sorted((unpack(k), n) for k, n in series.terms.items())
+    # each coefficient n/den in lowest terms, with no Fraction per term
+    rows = (list(exps) + [n // g, den // g] for exps, n in terms for g in (gcd(n, den),))
     _emit("csv", {}, lambda: (), header, rows)
     return 0
 

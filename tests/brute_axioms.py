@@ -19,7 +19,11 @@ matching-ensemble axioms (closure, support and linkage, each by its
 definition on edge sets), the spanning trees, the matchings inside an edge
 set, phi and phi_inverse, and the alternating-cycle test.  The library runs
 them on edge bitmasks: one mask kernel for the axioms, and per K_{a,b} a
-table of the matchings each spanning tree alternates with.
+table of the matchings each spanning tree alternates with, built from the
+halves of the cycles of K_{a,b}.  Two earlier mask versions of those are
+kept here as well: ``ensemble_violations_by_scan``, which scans every star
+and trade and pins the witness order, and ``tree_table_by_walks``, which
+runs one alternating-walk search per (tree, matching) pair.
 """
 
 from __future__ import annotations
@@ -35,8 +39,14 @@ from rootflags.axioms import (
     EdgeSet,
     Matching,
     Violation,
+    _alternates,
     _arrow_json,
     _disjoint_pairs,
+    _edge_set,
+    _matchings_in,
+    _ones,
+    _spanning_trees,
+    _stars,
 )
 from rootflags.rules import Arrow, RuleSet, arrows_of, is_edge, pair_relation
 
@@ -469,3 +479,65 @@ def phi_inverse(ensemble: BipartiteEnsemble) -> frozenset[EdgeSet]:
         for tree in spanning_trees(ensemble.a, ensemble.b)
         if not any(has_alternating_cycle(tree, m) for m in nonempty)
     )
+
+
+def ensemble_violations_by_scan(
+    a: int, b: int, family: frozenset[int], all_witnesses: bool = False
+) -> list[Violation]:
+    """The closure, support and linkage violations of a family of edge masks,
+    in the library's order: support keys each matching by the sum of the
+    stars it meets, and linkage scans every (matching, vertex, trade)."""
+    stars = _stars(a, b)[0]
+    witnesses: list[Violation] = []
+
+    def bail(axiom: str, detail: dict) -> bool:
+        witnesses.append(Violation(axiom, detail))
+        return not all_witnesses
+
+    def edges(m: int) -> list[BipartiteEdge]:
+        return sorted(_edge_set(m, b))
+
+    for m in family:
+        for k in _ones(m):
+            if m ^ 1 << k not in family and bail(
+                "closure", {"matching": edges(m), "missing": edges(m ^ 1 << k)}
+            ):
+                return witnesses
+    by_vertices: dict[int, list[int]] = {}
+    for m in family:
+        key = sum(1 << v for v, star in enumerate(stars) if star & m)
+        by_vertices.setdefault(key, []).append(m)
+    for k in range(1, min(a, b) + 1):
+        for lefts, rights in itertools.product(
+            itertools.combinations(range(a), k), itertools.combinations(range(b), k)
+        ):
+            hits = by_vertices.get(sum(1 << l for l in lefts) + sum(1 << a + r for r in rights), [])
+            if len(hits) != 1 and bail("support", {
+                "I": [l + 1 for l in lefts],
+                "J": [r + 1 for r in rights],
+                "count": len(hits),
+                "matchings": sorted(map(edges, hits)),
+            }):
+                return witnesses
+    for m in family:
+        rests = [m ^ 1 << k for k in _ones(m)]
+        for v, star in enumerate(stars):
+            if m and not star & m and not any(
+                rest | 1 << e in family for rest in rests for e in _ones(star)
+            ):
+                vertex = ["L", v + 1] if v < a else ["R", v - a + 1]
+                if bail("linkage", {"matching": edges(m), "vertex": vertex}):
+                    return witnesses
+    return witnesses
+
+
+def tree_table_by_walks(a: int, b: int) -> tuple[dict[int, int], tuple[tuple[int, int, int], ...]]:
+    """The library's tree table of K_{a,b}, each conflict decided by one
+    alternating-walk search (``_alternates``) per (tree, matching of two or
+    more edges) pair."""
+    index = {m: 1 << i for i, m in enumerate(_matchings_in(a, b, (1 << a * b) - 1))}
+    rows = []
+    for tree in _spanning_trees(a, b):
+        conflicts = sum(bit for m, bit in index.items() if m & m - 1 and _alternates(a, b, tree, m))
+        rows.append((tree, conflicts, sum(index[m] for m in _matchings_in(a, b, tree))))
+    return index, tuple(rows)

@@ -199,6 +199,12 @@ def test_spanning_tree_counts():
     assert len(spanning_trees(1, 1)) == 1
 
 
+@pytest.mark.parametrize("a, b", [(0, 0), (0, 2), (-1, 2)])
+def test_spanning_trees_refuse_an_empty_part(a, b):
+    with pytest.raises(ValueError, match="^both parts must be nonempty$"):
+        spanning_trees(a, b)
+
+
 def test_spanning_trees_returns_a_fresh_list():
     trees = spanning_trees(3, 3)
     trees.clear()

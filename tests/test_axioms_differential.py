@@ -7,8 +7,10 @@ alone would not show.  Support matching lists (in their order) and
 restriction ensembles are compared the same way, and so are the face stream
 with its forest flags and the pruned walk that lists circuit faces.  On
 K_{a,b}, the mask kernel of the matching-ensemble axioms meets the set-based
-oracle on every small family and on drawn ones, and the tree table meets the
-alternating-cycle oracle on every (spanning tree, matching) pair.
+oracle on every small family and on drawn ones, and lists the same witnesses
+in the same order as the scanning mask oracle; the tree table meets the
+alternating-cycle oracle on every (spanning tree, matching) pair, and equals
+the table built by one alternating-walk search per pair for a, b <= 4.
 """
 
 import itertools
@@ -368,14 +370,19 @@ def _witness_keys(report):
 
 
 def _assert_me_axioms_match_oracle(ens):
-    """Compare the mask kernel with the oracle on one family; return the
-    oracle's report with every witness."""
+    """Compare the mask kernel with the oracle on one family, and its
+    witnesses, in order, with the scanning mask oracle's in both modes;
+    return the oracle's report with every witness."""
     want = brute.me_axioms(ens, all_witnesses=True)
     got = axioms.me_axioms(ens, all_witnesses=True)
     assert got.passed == want.passed, ens
     assert _witness_keys(got) == _witness_keys(want), ens
     # the first witness may differ in order, not in kind
     first = axioms.me_axioms(ens)
+    family = frozenset(axioms._edge_mask(m, ens.a, ens.b) for m in ens.matchings)
+    for report, mode in ((first, False), (got, True)):
+        scanned = brute.ensemble_violations_by_scan(ens.a, ens.b, family, mode)
+        assert list(report.witnesses) == scanned, (ens, mode)
     assert first.passed == want.passed and len(first.witnesses) == (not want.passed), ens
     if not want.passed:
         assert first.witnesses[0].axiom == want.witnesses[0].axiom, ens
@@ -468,6 +475,24 @@ def test_tree_table_matches_oracle_on_every_tree_and_matching():
                 assert bool(inside & bit) == (m <= edges), (edges, m)
                 pairs += 1
     assert pairs == 2 + 2 * 3 + 2 * 4 + 4 * 7 + 2 * 12 * 13 + 81 * 34
+
+
+def test_cycle_halves_are_counted():
+    # two ordered halves per simple cycle of length >= 4
+    counts = {(2, 2): 2, (2, 3): 6, (3, 3): 30, (3, 4): 84, (4, 4): 408}
+    assert {ab: len(axioms._cycle_halves(*ab)) for ab in counts} == counts
+    assert axioms._cycle_halves(1, 4) == axioms._cycle_halves(4, 1) == ()
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        *((a, b) for a, b in itertools.product(range(1, 5), repeat=2) if a * b <= 12),
+        pytest.param(4, 4, marks=pytest.mark.slow),  # 4,096 trees
+    ],
+)
+def test_tree_table_matches_the_walk_oracle(a, b):
+    assert axioms._tree_table(a, b) == brute.tree_table_by_walks(a, b)
 
 
 def test_matching_ensembles_check_work(count_calls):

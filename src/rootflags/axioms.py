@@ -65,19 +65,11 @@ class Violation(Record):
     """One witness against an axiom; the detail takes part in equality but
     not in the hash."""
 
+    _fields = ("axiom", "detail")
+    _hashed = ("axiom",)
+
     def __init__(self, axiom: str, detail: dict):
         self.__dict__.update(axiom=axiom, detail=detail)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.axiom, self.detail) == (other.axiom, other.detail)
-
-    def __hash__(self) -> int:
-        return hash((self.axiom,))
-
-    def __repr__(self) -> str:
-        return f"Violation(axiom={self.axiom!r}, detail={self.detail!r})"
 
     def to_json_dict(self) -> dict:
         out = {"axiom": self.axiom}
@@ -88,24 +80,10 @@ class Violation(Record):
 class AxiomReport(Record):
     """The verdict on one axiom with its witnesses, as ``verify`` lists them."""
 
+    _fields = ("axiom", "passed", "witnesses")
+
     def __init__(self, axiom: str, passed: bool, witnesses: tuple[Violation, ...] = ()):
         self.__dict__.update(axiom=axiom, passed=passed, witnesses=witnesses)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.axiom, self.passed, self.witnesses) == (
-            other.axiom, other.passed, other.witnesses
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.axiom, self.passed, self.witnesses))
-
-    def __repr__(self) -> str:
-        return (
-            f"AxiomReport(axiom={self.axiom!r}, passed={self.passed!r}, "
-            f"witnesses={self.witnesses!r})"
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -560,6 +538,8 @@ class BipartiteEnsemble(Record):
     edges; the family is stored as a frozenset (the same object when it is
     one already)."""
 
+    _fields = ("a", "b", "matchings")
+
     def __init__(self, a: int, b: int, matchings: Iterable[EdgeSet]):
         if a < 1 or b < 1:
             raise ValueError("both parts must be nonempty")
@@ -570,17 +550,6 @@ class BipartiteEnsemble(Record):
             if any(not (1 <= l <= a and 1 <= r <= b) for l, r in m):
                 raise ValueError(f"edge out of range in {sorted(m)}")
         self.__dict__.update(a=a, b=b, matchings=matchings)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.matchings) == (other.a, other.b, other.matchings)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.matchings))
-
-    def __repr__(self) -> str:
-        return f"BipartiteEnsemble(a={self.a!r}, b={self.b!r}, matchings={self.matchings!r})"
 
 
 def me_axioms(ensemble: BipartiteEnsemble, all_witnesses: bool = False) -> AxiomReport:

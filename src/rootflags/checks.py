@@ -41,24 +41,10 @@ class CheckResult(Record):
     """The outcome of one check: its name, verdict, one-line detail and the
     number of values it compared."""
 
+    _fields = ("name", "passed", "detail", "compared")
+
     def __init__(self, name: str, passed: bool, detail: str, compared: int):
         self.__dict__.update(name=name, passed=passed, detail=detail, compared=compared)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.passed, self.detail, self.compared) == (
-            other.name, other.passed, other.detail, other.compared
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.passed, self.detail, self.compared))
-
-    def __repr__(self) -> str:
-        return (
-            f"CheckResult(name={self.name!r}, passed={self.passed!r}, "
-            f"detail={self.detail!r}, compared={self.compared!r})"
-        )
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,8 +1,10 @@
 """Command-line front end: classification, axiom verification, tables, series.
 
 Exit codes: 0 success, 1 mathematical failure (with a printed witness),
-2 usage or resource-cap errors.  All output is deterministic for a fixed
-invocation; JSON payloads carry a schema version.
+2 usage or resource-cap errors, 141 when the reader of stdout has gone
+(``rootflags ... | head``), the status a shell reports for SIGPIPE.  All
+output is deterministic for a fixed invocation; JSON payloads carry a
+schema version.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from functools import cache
 from math import gcd
@@ -486,7 +489,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # send what is still buffered to devnull, so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UsageError, ResourceLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

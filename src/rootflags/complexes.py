@@ -289,19 +289,10 @@ class Face(Record):
     """A face of the flag complex: pairwise compatible arrows, as a sorted
     tuple, with its ambient size and a forest flag."""
 
+    _fields = ("arrows", "n", "is_forest")
+
     def __init__(self, arrows: tuple[Arrow, ...], n: int, is_forest: bool):
         self.__dict__.update(arrows=arrows, n=n, is_forest=is_forest)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.arrows, self.n, self.is_forest) == (other.arrows, other.n, other.is_forest)
-
-    def __hash__(self) -> int:
-        return hash((self.arrows, self.n, self.is_forest))
-
-    def __repr__(self) -> str:
-        return f"Face(arrows={self.arrows!r}, n={self.n!r}, is_forest={self.is_forest!r})"
 
     @property
     def forward(self) -> int:
@@ -343,19 +334,11 @@ class FaceTable(Record):
     """Counts of faces by (forward, backward) arrow numbers; the counts take
     part in equality but not in the hash."""
 
+    _fields = ("n", "selector", "counts")
+    _hashed = ("n", "selector")
+
     def __init__(self, n: int, selector: str, counts: Mapping[tuple[int, int], int]):
         self.__dict__.update(n=n, selector=selector, counts=counts)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.selector, self.counts) == (other.n, other.selector, other.counts)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.selector))
-
-    def __repr__(self) -> str:
-        return f"FaceTable(n={self.n!r}, selector={self.selector!r}, counts={self.counts!r})"
 
     def cells(self) -> list[tuple[int, int, int]]:
         return [(i, j, c) for (i, j), c in sorted(self.counts.items())]
@@ -578,19 +561,10 @@ def excess_degree_formula(rs: RuleSet, n: int, arrow: Arrow) -> int:
 class ExcessSignature(Record):
     """Sorted multiset of the excess degrees of all n(n+1) arrows."""
 
+    _fields = ("n", "degrees")
+
     def __init__(self, n: int, degrees: tuple[int, ...]):
         self.__dict__.update(n=n, degrees=degrees)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.degrees) == (other.n, other.degrees)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.degrees))
-
-    def __repr__(self) -> str:
-        return f"ExcessSignature(n={self.n!r}, degrees={self.degrees!r})"
 
     def runs(self) -> str:
         """Run-length form, e.g. "1^6 2^4 3^2 4^4 6^4"."""

@@ -38,6 +38,8 @@ class THWord(Record):
     """The tail/head pattern of a node set, with explicit node labels: the
     positions strictly increase and each letter is T or H."""
 
+    _fields = ("positions", "letters")
+
     def __init__(self, positions: Sequence[int], letters: Sequence[str]):
         positions, letters = tuple(positions), tuple(letters)
         if len(positions) != len(letters):
@@ -58,17 +60,6 @@ class THWord(Record):
         self = object.__new__(cls)
         self.__dict__.update(positions=positions, letters=letters)
         return self
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.positions == other.positions and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash((self.positions, self.letters))
-
-    def __repr__(self) -> str:
-        return f"THWord(positions={self.positions!r}, letters={self.letters!r})"
 
     @property
     def word(self) -> str:

@@ -112,6 +112,8 @@ class PairRelation(Record):
     is "tail" or "head".
     """
 
+    _fields = ("kind", "word", "placement", "shared")
+
     def __init__(
         self,
         kind: str,
@@ -120,22 +122,6 @@ class PairRelation(Record):
         shared: str | None = None,
     ):
         self.__dict__.update(kind=kind, word=word, placement=placement, shared=shared)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.word, self.placement, self.shared) == (
-            other.kind, other.word, other.placement, other.shared
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.word, self.placement, self.shared))
-
-    def __repr__(self) -> str:
-        return (
-            f"PairRelation(kind={self.kind!r}, word={self.word!r}, "
-            f"placement={self.placement!r}, shared={self.shared!r})"
-        )
 
 
 def pair_relation(a: Arrow, b: Arrow, n: int | None = None) -> PairRelation:
@@ -177,25 +163,13 @@ def pair_relation(a: Arrow, b: Arrow, n: int | None = None) -> PairRelation:
 class RuleSet(Record):
     """One of the 64 uniform edge rules: a choice per type word."""
 
+    _fields = ("thth", "htht", "thht", "htth", "tthh", "hhtt")
+
     def __init__(self, thth: str, htht: str, thht: str, htth: str, tthh: str, hhtt: str):
         for word, value in zip(TYPE_WORDS, (thth, htht, thht, htth, tthh, hhtt)):
             if value not in CHOICES[word]:
                 raise ValueError(f"{word} must be one of {CHOICES[word]}, got {value!r}")
         self.__dict__.update(thth=thth, htht=htht, thht=thht, htth=htth, tthh=tthh, hhtt=hhtt)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.thth, self.htht, self.thht, self.htth, self.tthh, self.hhtt) == (
-            other.thth, other.htht, other.thht, other.htth, other.tthh, other.hhtt
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.thth, self.htht, self.thht, self.htth, self.tthh, self.hhtt))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{word.lower()}={self.choice(word)!r}" for word in TYPE_WORDS)
-        return f"RuleSet({fields})"
 
     def choice(self, word: str) -> str:
         return getattr(self, word.lower())

@@ -31,6 +31,8 @@ Exponents = tuple[int, ...]
 class SeriesRing(Record):
     """A set of variable names with per-variable truncation orders."""
 
+    _fields = ("variables", "orders")
+
     def __init__(self, variables: Iterable[str], orders: Iterable[int]):
         if isinstance(variables, str):
             raise TypeError(f"variables must be a sequence of names, not the string {variables!r}")
@@ -44,17 +46,6 @@ class SeriesRing(Record):
         if any(o < 0 for o in orders):
             raise ValueError("orders must be nonnegative")
         self.__dict__.update(variables=variables, orders=orders)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.variables == other.variables and self.orders == other.orders
-
-    def __hash__(self) -> int:
-        return hash((self.variables, self.orders))
-
-    def __repr__(self) -> str:
-        return f"SeriesRing(variables={self.variables!r}, orders={self.orders!r})"
 
     @cached_property
     def packing(self) -> "_Packing":
@@ -87,6 +78,8 @@ class SeriesRing(Record):
     def monomial(self, exps: Mapping[str, int], coeff=1) -> "Series":
         vec = [0] * len(self.variables)
         for name, e in exps.items():
+            if e < 0:
+                raise ValueError(f"negative exponent {name}^{e} is not in the ring")
             vec[self.index(name)] = e
         coeff = Fraction(coeff)
         if not coeff or not self.within(vec):
@@ -623,6 +616,8 @@ def simion_facet_count(n: int, i: int) -> int:
 
 def catalan_triangle(n: int, k: int) -> int:
     """Entry (n, k) of the Catalan triangle, (n+k)! (n-k+1) / (k! (n+1)!)."""
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     value = factorial(n + k) * (n - k + 1)
     return value // (factorial(k) * factorial(n + 1))
 

@@ -470,3 +470,19 @@ def test_a_cold_cli_start_loads_neither_dataclasses_nor_inspect():
     ).stdout.split()
     assert "rootflags.cli" in loaded
     assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+
+
+def test_a_closed_stdout_pipe_exits_141_without_a_traceback():
+    # as in `rootflags ... | head`: the reader is gone before the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rootflags.cli", "verify", "--all", "--n", "5"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

@@ -4,8 +4,13 @@ Each record is immutable and compares, hashes and prints by its fields:
 construction by position and by keyword agree, equal records hash alike,
 a field can be neither assigned nor deleted, and the repr is
 ``Name(field=value, ...)``.  ``Violation.detail`` and ``FaceTable.counts``
-take part in equality but not in the hash.
+take part in equality but not in the hash.  Each class names its fields
+once, in ``_fields``, in ``__init__`` order, and survives pickling and
+copying.
 """
+
+import copy
+import pickle
 
 import pytest
 
@@ -133,6 +138,25 @@ def test_fields_cannot_be_assigned_or_deleted(name):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert record == fresh
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_fields_are_the_init_parameters_in_order(name):
+    positional, _, _, fields, _ = RECORDS[name]
+    cls = type(positional())
+    code = cls.__init__.__code__
+    assert cls._fields == fields == code.co_varnames[1 : code.co_argcount]
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_pickle_and_copies_are_equal_and_hash_alike(name):
+    record = RECORDS[name][0]()
+    for twin in (
+        pickle.loads(pickle.dumps(record)),
+        copy.copy(record),
+        copy.deepcopy(record),
+    ):
+        assert type(twin) is type(record) and twin == record and hash(twin) == hash(record)
 
 
 def test_defaults():

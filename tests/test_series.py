@@ -89,6 +89,15 @@ def test_ring_basics():
     assert x ** 5 == ring.zero()  # truncated away
 
 
+def test_a_monomial_above_the_order_truncates_but_a_negative_exponent_is_refused():
+    ring = SeriesRing(("x",), (3,))
+    assert ring.var("x", 4) == ring.zero() and ring.monomial({"x": 5}, 7) == ring.zero()
+    with pytest.raises(ValueError, match="negative exponent"):
+        ring.var("x", -1)
+    with pytest.raises(ValueError, match="negative exponent"):
+        ring.monomial({"x": -2}, 5)
+
+
 def test_ring_inverse_and_division():
     ring = SeriesRing(("t",), (8,))
     t = ring.var("t")
@@ -274,6 +283,12 @@ def test_simion_facet_counts():
             assert simion_facet_count(n, i) == 2 ** (i - 1) * catalan_triangle(n, n - i)
     with pytest.raises(ValueError):
         simion_facet_count(3, 4)
+
+
+@pytest.mark.parametrize("n, k", [(2, 3), (2, 5), (-1, 0), (3, -1)])
+def test_catalan_triangle_refuses_entries_outside_the_triangle(n, k):
+    with pytest.raises(ValueError, match="need 0 <= k <= n"):
+        catalan_triangle(n, k)
 
 
 # -- revlex class ------------------------------------------------------------

@@ -7,16 +7,16 @@ I onto J) and the linkage axiom (a matching face can absorb any outside
 node by relinking one arrow endpoint).  Both are decided here
 exhaustively on the adjacency bitmasks of ``complexes.adjacency``, together
 with the underlying matching-ensemble axioms on complete bipartite graphs
-and the spanning-tree correspondence.  All three verdicts are decided
-from one table of the T/H words and their matchings (``_code_table``):
-support counts each word's matchings and reads its first witness off the
-least failing word, linkage relinks the matchings, and a circuit is a pair
-of matchings of one word whose arrows are pairwise edges.  The table is
-solved once per symmetry orbit, for the orbit's least code
-(``_word_table``); the other members relabel it exactly, since dual swaps
-T and H in every word and reflected dual also reverses it.  The matching
-faces and the circuit witnesses are listed by the clique walk of
-``complexes._iter_cliques``.
+and the spanning-tree correspondence.  All three verdicts are read off one
+table of the T/H words and their matchings (``_word_table``): support
+counts each word's matchings, a circuit is a pair of matchings of one word
+whose arrows are pairwise edges, and linkage ANDs and ORs per-gap edge
+masks over each matching (``_gap_cover``).  Dual swaps T and H in every
+word and reflected dual also reverses it, so both carry a code's table
+exactly onto the other codes of its orbit, and each verdict is decided
+once per orbit, on the orbit's least code.  Only a failing code relabels
+words (``_relabeled``) and walks its own faces, by the clique walk of
+``complexes._iter_cliques``, to list its witnesses.
 
 Bipartite objects live on K_{a,b} with left part 1..a and right part 1..b.
 The public functions take and return edges as plain (left, right) pairs and
@@ -37,7 +37,8 @@ from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
-from .complexes import _adjacency, _count_order, _iter_cliques, _node_masks, _pair_classes
+from .complexes import _adjacency, _code_rows, _count_order, _iter_cliques, _model_cases
+from .complexes import _node_masks, _pair_classes
 from .complexes import adjacency, check_ambient_size
 from .matchings import THWord, _trace, th_word
 from .rules import Arrow, RuleSet, orbit_of
@@ -230,9 +231,9 @@ _SWAP = str.maketrans("TH", "HT")
 @lru_cache(maxsize=30)
 def _word_table(code: int, n: int) -> WordTable:
     """Every T/H word of length at most n+1, in ``_words`` order, with its
-    ``_word_matchings`` on the masks of V_n, for the least code of an orbit.
-    ``_code_table`` relabels it onto the other members, so ``verify --all``
-    solves each word once per orbit; one (code, n) per orbit is kept."""
+    ``_word_matchings`` on the masks of V_n.  The checks solve it only for
+    the least code of an orbit, so ``verify --all`` solves each word once
+    per orbit; one (code, n) per orbit is kept."""
     masks = _adjacency(code, n)[1]
     return {
         word: _word_matchings(n, masks, word)
@@ -256,38 +257,33 @@ def _orbit_relabel(code: int) -> tuple[int, bool, bool]:
     return least.code, *next(key for key, image in images.items() if image.code == code)
 
 
-def _code_table(code: int, n: int) -> WordTable:
-    """``_word_table`` of any code: its orbit's solved table, relabeled onto
-    the code unless the code is the orbit's least.  Permissibility, support
-    and linkage all read it."""
-    return _word_table(code, n) if _orbit_relabel(code)[0] == code else _member_table(code, n)
+def _moved(
+    pairs: Iterable[tuple[int, int]], last: int, swap: bool, reverse: bool
+) -> tuple[tuple[int, int], ...]:
+    """(tail, head) positions on a word carried by a symmetry, sorted: dual
+    maps (t, h) to (h, t), reversal to (last-t, last-h)."""
+    if swap:
+        pairs = [(h, t) for t, h in pairs]
+    if reverse:
+        pairs = [(last - t, last - h) for t, h in pairs]
+    return tuple(sorted(pairs))
 
 
-@lru_cache(maxsize=1)
-def _member_table(code: int, n: int) -> WordTable:
-    """The word table of a code that is not its orbit's least, relabeled
-    from the least code's; only the last (code, n) is kept.
+def _source(word: str, swap: bool, reverse: bool) -> str:
+    """The word of the orbit's least code that the symmetry carries onto word."""
+    word = word.translate(_SWAP) if swap else word
+    return word[::-1] if reverse else word
 
-    On a word of length L, dual swaps T and H and maps (t, h) to (h, t),
-    reflected dual reverses and swaps the word and maps (t, h) to
-    (L-1-h, L-1-t), and their product reverses the word and maps (t, h) to
-    (L-1-t, L-1-h).  The relabeled matchings are sorted back into the order
-    of ``_word_matchings``, which is that of their (tail, head) tuples."""
+
+@lru_cache(maxsize=1024)
+def _relabeled(code: int, n: int, word: str) -> list[tuple[tuple[int, int], ...]]:
+    """A word's matchings for any code: its source word's in the least
+    code's table, carried by the symmetry and sorted back into the order of
+    ``_word_matchings``, which is that of their (tail, head) tuples.  Only
+    the support witnesses of a failing code call it."""
     least, swap, reverse = _orbit_relabel(code)
-    solved = _word_table(least, n)
-    table = {}
-    for word in solved:  # the words of a length are closed under each symmetry
-        source = word.translate(_SWAP) if swap else word
-        last = len(word) - 1
-        matchings = []
-        for matching in solved[source[::-1] if reverse else source]:
-            if swap:
-                matching = [(h, t) for t, h in matching]
-            if reverse:
-                matching = [(last - t, last - h) for t, h in matching]
-            matchings.append(tuple(sorted(matching)))
-        table[word] = sorted(matchings)
-    return table
+    solved = _word_table(least, n)[_source(word, swap, reverse)]
+    return sorted(_moved(m, len(word) - 1, swap, reverse) for m in solved)
 
 
 def check_support_axiom(
@@ -297,29 +293,33 @@ def check_support_axiom(
     equal-size node sets.
 
     By uniformity the matchings depend only on the T/H word that I and J
-    trace on the number line, so each word is solved once (``_code_table``).
-    The first witness in (|I|, I, J) order is the first failing word of the
-    table (shortest, then least tail positions) placed on nodes 1..2k: any
-    other placement of any failing word raises every node, so its (I, J)
-    comes later.  Only for all witnesses are the (I, J) pairs walked, in
-    order, with each failing word's matchings relabeled onto them.
+    trace on the number line, so each word is solved once per orbit
+    (``_word_table``), and a symmetry carries the words with one matching
+    onto those of the other members.  The first witness in (|I|, I, J)
+    order is the code's first failing word (shortest, then least tail
+    positions) placed on nodes 1..2k: any other placement of any failing
+    word raises every node, so its (I, J) comes later.  Only for all
+    witnesses are the (I, J) pairs walked, in order; the failing words'
+    matchings are relabeled onto the code (``_relabeled``) and placed.
     """
     check_ambient_size(n)
-    by_word = _code_table(rs.code, n)
-    failing = next((word for word, matchings in by_word.items() if len(matchings) != 1), None)
-    if failing is None:
+    least, swap, reverse = _orbit_relabel(rs.code)
+    solved = _word_table(least, n)
+    if all(len(matchings) == 1 for matchings in solved.values()):
         return AxiomReport("support", True)
     if all_witnesses:
         pairs = _disjoint_pairs(n)
     else:  # the first failing word on nodes 1..2k
+        failing = next(w for w in solved if len(solved[_source(w, swap, reverse)]) != 1)
         tails = tuple(p for p, letter in enumerate(failing, 1) if letter == "T")
         heads = tuple(p for p, letter in enumerate(failing, 1) if letter == "H")
         pairs = [(tails, heads)]
     witnesses = []
     for tails, heads in pairs:
         nodes = sorted(tails + heads)
-        matchings = by_word["".join("T" if x in tails else "H" for x in nodes)]
-        if len(matchings) != 1:
+        word = "".join("T" if x in tails else "H" for x in nodes)
+        if len(solved[_source(word, swap, reverse)]) != 1:
+            matchings = _relabeled(rs.code, n, word)
             witnesses.append(
                 Violation(
                     "support",
@@ -345,82 +345,115 @@ def matching_faces(rs: RuleSet, n: int) -> Iterator[Matching]:
         yield frozenset(arrows[v] for v in face)
 
 
-def _relinks(
-    index: Sequence[Sequence[int]], sigma: Sequence[tuple[int, int]], rests: Sequence[int], k: int
-) -> tuple[bool, bool]:
-    """Whether the matching face sigma, given as (tail, head) node pairs, can
-    absorb the outside node k as a tail, and as a head, by relinking one
-    arrow so that the new arrow is an edge to every other arrow of sigma;
-    rests[i] is the AND of the neighbour masks of all arrows but the i-th."""
-    as_tail = as_head = False
-    for (t, h), rest in zip(sigma, rests):
-        as_tail = as_tail or bool(rest >> index[k][h] & 1)
-        as_head = as_head or bool(rest >> index[t][k] & 1)
-    return as_tail, as_head
+@lru_cache(maxsize=16)
+def _gap_classes(length: int) -> tuple[tuple[int, ...], dict[tuple[str, str], tuple[int, ...]]]:
+    """The code-free part of ``_gap_table``: -1 at the triples that are not
+    three distinct positions, and per (type word, placement) the masks of
+    the gaps where the relinked arrow has that word and placement with the
+    other arrow, from the range model of ``_model_cases``."""
+    size = length**3
+    base = [-1] * size
+    cases = _model_cases()
+    rows = {key: [0] * size for key in set(cases.values())}
+    for t, h in itertools.permutations(range(length), 2):
+        lo, hi = min(t, h), max(t, h)
+        for a in range(length):
+            if a == t or a == h:
+                continue
+            index = (a * length + t) * length + h
+            base[index] = 0
+            y = (a > lo) + (a > hi)  # the ranges of a and the gap around (t, h)
+            for gap in range(length + 1):
+                x = (gap > lo) + (gap > hi)
+                rows[cases[t < h, x, y, gap <= a]][index] |= 1 << gap  # (k, a)
+                rows[cases[t < h, y, x, gap > a]][index] |= 1 << gap + length + 1  # (a, k)
+    return tuple(base), {key: tuple(row) for key, row in rows.items()}
 
 
-def _rests(masks: Sequence[int], face: Sequence[int]) -> list[int]:
-    """Per arrow of a face, the AND of the neighbour masks of the others."""
-    rests = []
-    for v in face:
-        rest = -1
-        for w in face:
-            if w != v:
-                rest &= masks[w]
-        rests.append(rest)
-    return rests
+@lru_cache(maxsize=8)
+def _gap_table(code: int, length: int) -> tuple[tuple[int, ...], ...]:
+    """Per position a of a word of the given length, per (t, h) at t*length
+    + h, the gaps g (after g of the word's nodes) where an outside node k
+    makes (k, a) an edge to (t, h), at bit g, and (a, k), at bit length+1+g;
+    -1 when a, t, h are not distinct.  By uniformity the edge depends only
+    on the order of the four nodes, so the table is the code's choice of the
+    rows of ``_gap_classes``, as ``_adjacency`` is of ``_pair_classes``."""
+    flat = _code_rows(code, *_gap_classes(length))
+    block = length * length
+    return tuple(flat[a : a + block] for a in range(0, len(flat), block))
 
 
-def _linkage_holds_on_words(code: int, n: int) -> bool:
+def _gap_cover(
+    table: tuple[tuple[int, ...], ...], length: int, pairs: Sequence[tuple[int, int]]
+) -> int:
+    """The gaps where a matching, as (tail, head) positions on a word of the
+    given length, absorbs an outside node as a tail (low length+1 bits) and
+    as a head (the bits above): relinking arrow i is an edge to every other
+    arrow j, so AND the masks of ``_gap_table`` over j and OR over i."""
+    keys = [t * length + h for t, h in pairs]
+    low = (1 << length + 1) - 1
+    cover = 0
+    for t, h in pairs:
+        as_tail, as_head = table[h], table[t]
+        tail = head = -1
+        for key in keys:  # j = i reads -1
+            tail &= as_tail[key]
+            head &= as_head[key]
+        cover |= tail & low | head & ~low
+    return cover
+
+
+@lru_cache(maxsize=64)
+def _linkage_holds(code: int, n: int) -> bool:
     """Linkage decided once per T/H word: every matching of every word of
-    length 2r <= n in ``_code_table``, placed on nodes 1..2r+1 around each
-    outside node k, relinks to absorb k on both sides.  By uniformity this
-    is the linkage axiom for all matching faces at size n.  A single arrow
-    always relinks, so words start at r = 2."""
-    masks = _adjacency(code, n)[1]
-    index = _index_table(n)
-    for word, matchings in _code_table(code, n).items():
-        if not 4 <= len(word) <= n:
-            continue
-        for matching in matchings:
-            for k in range(1, len(word) + 2):
-                sigma = [
-                    (t + 1 + (t + 1 >= k), h + 1 + (h + 1 >= k)) for t, h in matching
-                ]
-                rests = _rests(masks, [index[t][h] for t, h in sigma])
-                if not all(_relinks(index, sigma, rests, k)):
-                    return False
-    return True
+    length 2r <= n in ``_word_table`` absorbs an outside node in each of its
+    2r+1 gaps on both sides (``_gap_cover``), which by uniformity is the
+    axiom for all matching faces at size n.  A single arrow always relinks,
+    so words start at r = 2."""
+    return all(
+        _gap_cover(_gap_table(code, len(word)), len(word), m) == (1 << 2 * len(word) + 2) - 1
+        for word, matchings in _word_table(code, n).items()
+        if 4 <= len(word) <= n
+        for m in matchings
+    )
 
 
 def check_linkage_axiom(rs: RuleSet, n: int, all_witnesses: bool = False) -> AxiomReport:
     """For every nonempty matching face and every node k outside it, demand
     a relink that absorbs k as a tail and one that absorbs k as a head.
 
-    The verdict is decided once per T/H word; only when it fails are the
-    matching faces walked, in the order of ``matching_faces``, to list the
-    witnesses.  A single arrow always relinks, so only faces of two or more
-    arrows are tested, each with its rests built once for every k."""
+    The verdict is decided once per T/H word of the orbit's least code
+    (``_linkage_holds``): a symmetry carries faces and relinks onto the
+    other members.  Only when it fails are the code's matching faces
+    walked, in the order of ``matching_faces``, to list the witnesses, each
+    face reading the gaps it covers from its word's positions.  A single
+    arrow always relinks, so only faces of two or more arrows that leave a
+    node outside are tested."""
     check_ambient_size(n)
-    if _linkage_holds_on_words(rs.code, n):
+    if _linkage_holds(_orbit_relabel(rs.code)[0], n):
         return AxiomReport("linkage", True)
     arrows, masks = adjacency(rs, n)
-    index = _index_table(n)
     witnesses = []
-    # the walk of matching_faces, on arrow indices: frozensets cost per face
-    faces = _iter_cliques(arrows, tuple(map(and_, masks, _walk_tables(n)[3])), n)
-    next(faces)  # the empty face
+    # the walk of matching_faces, on arrow indices (frozensets cost per
+    # face), up to the faces that leave a node outside
+    faces = _iter_cliques(arrows, tuple(map(and_, masks, _walk_tables(n)[3])), n, n // 2)
+    tables = {length: _gap_table(rs.code, length) for length in range(4, n + 1, 2)}
     for face, _ in faces:
-        if len(face) < 2:
+        length = 2 * len(face)
+        if length < 4:  # the empty face and single arrows
             continue
         sigma = [arrows[v] for v in face]
-        rests = _rests(masks, face)
-        covered = sum(1 << a.tail | 1 << a.head for a in sigma)  # the nodes are distinct
+        at = {x: p for p, x in enumerate(sorted(x for a in sigma for x in a))}
+        cover = _gap_cover(tables[length], length, [(at[t], at[h]) for t, h in sigma])
+        if cover == (1 << 2 * length + 2) - 1:
+            continue
+        gap = 0  # the face's nodes below k
         for k in range(1, n + 2):
-            if covered >> k & 1:
+            if k in at:
+                gap += 1
                 continue
-            for side, ok in zip(("tail", "head"), _relinks(index, sigma, rests, k)):
-                if ok:
+            for side, bit in (("tail", gap), ("head", gap + length + 1)):
+                if cover >> bit & 1:
                     continue
                 witnesses.append(
                     Violation(
@@ -439,7 +472,8 @@ def check_linkage_axiom(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axi
     return AxiomReport("linkage", not witnesses, tuple(witnesses))
 
 
-def _circuit_cores(code: int, n: int) -> list[tuple[tuple[int, int], ...]]:
+@lru_cache(maxsize=64)
+def _circuit_cores(code: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The simple cycles of the faces of V_n up to placement, per T/H word.
 
     A face with a cycle contains a simple one, and tails and heads of a face
@@ -448,7 +482,7 @@ def _circuit_cores(code: int, n: int) -> list[tuple[tuple[int, int], ...]]:
     of that word that share no arrow.  Conversely, two distinct matchings of
     a word whose arrows are pairwise edges hold such a cycle, on a shorter
     word if they share an arrow.  So the cores are the unions of two
-    matchings of a ``_code_table`` word of which every arrow of one is a
+    matchings of a ``_word_table`` word of which every arrow of one is a
     neighbour of every arrow of the other (so none is shared), as 0-based
     (tail, head) positions; by uniformity a core placed on any 2r nodes of
     V_n is a face, and every simple cycle of a face is such a placement.
@@ -458,7 +492,7 @@ def _circuit_cores(code: int, n: int) -> list[tuple[tuple[int, int], ...]]:
     masks = _adjacency(code, n)[1]
     index = _index_table(n)
     cores = []
-    for matchings in _code_table(code, n).values():
+    for matchings in _word_table(code, n).values():
         if len(matchings) < 2:
             continue
         arrows = [[index[t + 1][h + 1] for t, h in m] for m in matchings]
@@ -467,7 +501,7 @@ def _circuit_cores(code: int, n: int) -> list[tuple[tuple[int, int], ...]]:
         for i, j in itertools.combinations(range(len(matchings)), 2):
             if not bits[j] & ~common[i]:
                 cores.append(matchings[i] + matchings[j])
-    return cores
+    return tuple(cores)
 
 
 def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> AxiomReport:
@@ -481,29 +515,35 @@ def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axiom
     the two placements of one type word, of which each code picks one.
     For (c), every clique is admissible, since a pair in which a node is the
     head of one arrow and the tail of the other is never an edge; some
-    clique contains a circuit exactly when some word of ``_code_table`` has
-    a circuit core (``_circuit_cores``), and this genuinely happens for
-    invalid codes.  Only then are the faces walked, in the order of
-    ``enumerate_faces``, to report the first (or every) face with a circuit:
-    a subtree is skipped when no placed core lies inside its face and
-    candidates together.
+    clique contains a circuit exactly when some word of the orbit's least
+    code has a circuit core (``_circuit_cores``), and this genuinely happens
+    for invalid codes.  Only then are the cores carried onto the code and
+    its faces walked, in the order of ``enumerate_faces``, to report the
+    first (or every) face with a circuit: a subtree is skipped when no
+    placed core lies inside its face and candidates together, asking only
+    the cores whose highest arrow is a candidate.
     """
     check_ambient_size(n)
-    cores = _circuit_cores(rs.code, n)
+    least, swap, reverse = _orbit_relabel(rs.code)
+    cores = _circuit_cores(least, n)
     if not cores:
         return AxiomReport("permissible", True)
     arrows, masks = adjacency(rs, n)
     index = _index_table(n)
-    placed = [
-        sum(1 << index[nodes[t]][nodes[h]] for t, h in core)
-        for core in cores
-        # a core of 2r arrows spans 2r nodes
-        for nodes in itertools.combinations(range(1, n + 2), len(core))
-    ]
+    # the placed cores by their highest arrow: the prune is asked only about
+    # faces that are forests, so a core inside a face and its candidates
+    # has its highest arrow among the candidates
+    by_top: dict[int, list[int]] = {}
+    for core in cores:
+        core = _moved(core, len(core) - 1, swap, reverse)
+        for nodes in itertools.combinations(range(1, n + 2), len(core)):  # 2r arrows, 2r nodes
+            placed = sum(1 << index[nodes[t]][nodes[h]] for t, h in core)
+            by_top.setdefault(placed.bit_length() - 1, []).append(placed)
+    tops = sum(1 << top for top in by_top)
 
     def prune(face: int, cand: int) -> bool:
         outside = ~(face | cand)
-        return any(not core & outside for core in placed)
+        return any(not core & outside for top in _ones(cand & tops) for core in by_top[top])
 
     witnesses = []
     for face, forest in _iter_cliques(arrows, masks, n, prune=prune):

@@ -94,9 +94,25 @@ def _node_masks(n: int, order: tuple[Arrow, ...] | None) -> tuple[tuple[int, ...
     return tuple(leaving), tuple(entering)
 
 
-#: The model line of ``_pair_classes``: an arrow on nodes 3 and 6, and two
+#: The model line of ``_model_cases``: an arrow on nodes 3 and 6, and two
 #: nodes in each open range around it, below, between and above.
 _MODEL_RANGES = ((1, 2), (4, 5), (7, 8))
+
+
+@lru_cache(maxsize=1)
+def _model_cases() -> dict[tuple[bool, int, int, bool], tuple[str, str]]:
+    """The (type word, placement) of two node-disjoint arrows by the first
+    one's direction, the ranges below, between and above its span (0, 1, 2)
+    that hold the partner's tail and head, and the partner's direction:
+    24 cases, classified with ``pair_relation`` on a model line."""
+    cases = {}
+    for forward, arrow in ((False, Arrow(6, 3)), (True, Arrow(3, 6))):
+        for x, (a, b) in enumerate(_MODEL_RANGES):
+            for y, (c, _) in enumerate(_MODEL_RANGES):
+                for tail, head in ((a, b), (b, a)) if x == y else ((a, c),):
+                    rel = pair_relation(arrow, Arrow(tail, head))
+                    cases[forward, x, y, tail < head] = rel.word, rel.placement
+    return cases
 
 
 @lru_cache(maxsize=32)
@@ -110,15 +126,13 @@ def _pair_classes(
     None of this depends on the rule code: by uniformity an arrow pair is an
     edge exactly when it shares an endpoint role or its placement is the one
     the code picks for its word, so every code's adjacency is an OR of these
-    rows.  Inadmissible pairs land in no row.
+    rows (``_code_rows``).  Inadmissible pairs land in no row.
 
-    The rows come from a range model.  A partner sharing no node with an
-    arrow of span lo < hi has its tail in one of the open ranges below lo,
-    between lo and hi, or above hi, and its head in one too; when both lie
-    in one range, the partner's direction orders them.  So the word and
-    placement are a function of the arrow's direction and these 12 cases,
-    classified once with ``pair_relation`` on a model line, and the row of a
-    case is the partners with tail in one range and head in the other, an
+    The rows come from the range model of ``_model_cases``: the word and
+    placement of a partner are a function of the arrow's direction and of
+    the ranges around its span that hold the partner's tail and head (and,
+    when both lie in one range, of the partner's direction), and the row of
+    a case is the partners with tail in one range and head in the other, an
     AND of prefix ORs of the node masks.
     """
     arrows = order or tuple(arrows_of(n))
@@ -131,17 +145,9 @@ def _pair_classes(
     heads_upto = list(accumulate(entering, or_))
     rows: dict[tuple[str, str], list[int]] = {}
     cases = ([], [])  # per direction, backward then forward: (x, y, keep, row)
-    for is_forward, arrow in enumerate((Arrow(6, 3), Arrow(3, 6))):
-        for x, (a, b) in enumerate(_MODEL_RANGES):
-            for y, (c, _) in enumerate(_MODEL_RANGES):
-                if x == y:
-                    partners = (((a, b), forward), ((b, a), full ^ forward))
-                else:
-                    partners = (((a, c), full),)
-                for partner, keep in partners:
-                    rel = pair_relation(arrow, Arrow(*partner))
-                    row = rows.setdefault((rel.word, rel.placement), [0] * m)
-                    cases[is_forward].append((x, y, keep, row))
+    for (is_forward, x, y, partner_forward), key in _model_cases().items():
+        keep = full if x != y else forward if partner_forward else full ^ forward
+        cases[is_forward].append((x, y, keep, rows.setdefault(key, [0] * m)))
     shared = []
     for i, (t, h) in enumerate(arrows):
         lo, hi = min(t, h), max(t, h)
@@ -153,18 +159,24 @@ def _pair_classes(
     return arrows, tuple(shared), {key: tuple(row) for key, row in rows.items() if any(row)}
 
 
+def _code_rows(code: int, base: tuple[int, ...], rows: Mapping) -> tuple[int, ...]:
+    """The base masks ORed with the rows, keyed by (type word, placement),
+    of the placement the code picks for each type word."""
+    rs = RuleSet.from_code(code)
+    for word in TYPE_WORDS:
+        row = rows.get((word, rs.placement(word)))
+        if row is not None:
+            base = tuple(map(or_, base, row))
+    return base
+
+
 @lru_cache(maxsize=1024)
 def _adjacency(
     code: int, n: int, order: tuple[Arrow, ...] | None = None
 ) -> tuple[tuple[Arrow, ...], tuple[int, ...]]:
     """Arrow list (order, default arrows_of(n)) and neighbour bitmasks for (rule set, n)."""
-    rs = RuleSet.from_code(code)
-    arrows, masks, rows = _pair_classes(n, order)
-    for word in TYPE_WORDS:
-        row = rows.get((word, rs.placement(word)))
-        if row is not None:
-            masks = tuple(map(or_, masks, row))
-    return arrows, masks
+    arrows, shared, rows = _pair_classes(n, order)
+    return arrows, _code_rows(code, shared, rows)
 
 
 def adjacency(rs: RuleSet, n: int) -> tuple[tuple[Arrow, ...], tuple[int, ...]]:

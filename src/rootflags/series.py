@@ -524,7 +524,10 @@ def backward_only_series(y_order: int, t_order: int) -> Series:
 
 
 def backward_only_coefficient(n: int, j: int) -> Fraction:
-    """Closed form for the number of j-backward-arrow faces of V_n."""
+    """Closed form for the number of j-backward-arrow faces of V_n: 0 for
+    j > n, as a face of V_n has at most n backward arrows."""
+    if j < 0 or n < 0:
+        raise ValueError(f"need 0 <= j and 0 <= n, got j={j}, n={n}")
     return Fraction(comb(n + j, j) * comb(n, j), j + 1)
 
 

@@ -12,7 +12,10 @@ included.  The same holds for the support matchings of one (I, J) and the
 matchings of one restriction pattern, which the library also reads off the
 masks.  ``has_circuit`` searches alternating cycles by a path DFS on the
 masks of ``edge_masks``; the library decides circuits per T/H word instead,
-from pairs of a word's matchings.
+from pairs of a word's matchings.  ``linkage_holds_on_words`` is the
+placement walk that decided linkage per word before the gap masks: every
+matching of a word placed around each outside node, with the AND of the
+other arrows' neighbour masks rebuilt per placement.
 
 The K_{a,b} layer is kept here on frozensets of (left, right) edges: the
 matching-ensemble axioms (closure, support and linkage, each by its
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from rootflags.axioms import (
     AxiomReport,
@@ -43,11 +46,14 @@ from rootflags.axioms import (
     _arrow_json,
     _disjoint_pairs,
     _edge_set,
+    _index_table,
     _matchings_in,
     _ones,
     _spanning_trees,
     _stars,
+    _word_table,
 )
+from rootflags.complexes import _adjacency
 from rootflags.rules import Arrow, RuleSet, arrows_of, is_edge, pair_relation
 
 
@@ -262,6 +268,54 @@ def check_linkage_axiom(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axi
                     if not all_witnesses:
                         return AxiomReport("linkage", False, tuple(witnesses))
     return AxiomReport("linkage", not witnesses, tuple(witnesses))
+
+
+def _relinks(
+    index: Sequence[Sequence[int]], sigma: Sequence[tuple[int, int]], rests: Sequence[int], k: int
+) -> tuple[bool, bool]:
+    """Whether the matching face sigma, given as (tail, head) node pairs, can
+    absorb the outside node k as a tail, and as a head, by relinking one
+    arrow so that the new arrow is an edge to every other arrow of sigma;
+    rests[i] is the AND of the neighbour masks of all arrows but the i-th."""
+    as_tail = as_head = False
+    for (t, h), rest in zip(sigma, rests):
+        as_tail = as_tail or bool(rest >> index[k][h] & 1)
+        as_head = as_head or bool(rest >> index[t][k] & 1)
+    return as_tail, as_head
+
+
+def _rests(masks: Sequence[int], face: Sequence[int]) -> list[int]:
+    """Per arrow of a face, the AND of the neighbour masks of the others."""
+    rests = []
+    for v in face:
+        rest = -1
+        for w in face:
+            if w != v:
+                rest &= masks[w]
+        rests.append(rest)
+    return rests
+
+
+def linkage_holds_on_words(rs: RuleSet, n: int) -> bool:
+    """The linkage verdict by the placement walk: every matching of every
+    word of length 2r <= n, solved on the code's own masks, placed on nodes
+    1..2r+1 around each outside node k, relinks to absorb k on both sides,
+    each placement with its own rests.  A single arrow always relinks, so
+    words start at r = 2."""
+    masks = _adjacency(rs.code, n)[1]
+    index = _index_table(n)
+    for word, matchings in _word_table.__wrapped__(rs.code, n).items():
+        if not 4 <= len(word) <= n:
+            continue
+        for matching in matchings:
+            for k in range(1, len(word) + 2):
+                sigma = [
+                    (t + 1 + (t + 1 >= k), h + 1 + (h + 1 >= k)) for t, h in matching
+                ]
+                rests = _rests(masks, [index[t][h] for t, h in sigma])
+                if not all(_relinks(index, sigma, rests, k)):
+                    return False
+    return True
 
 
 def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> AxiomReport:

@@ -12,7 +12,7 @@ from functools import lru_cache
 import pytest
 
 import brute_axioms as brute
-from rootflags import complexes, rules
+from rootflags import axioms, complexes, rules
 from rootflags.rules import Arrow, RuleSet, arrows_of, pair_relation
 
 
@@ -48,10 +48,15 @@ def test_pair_classes_match_the_sweep(n):
 
 
 def test_pair_classes_classify_only_the_range_cases(count_calls):
-    # two arrow directions times 12 range cases; the all-pairs sweep would
-    # make m(m-1)/2 = 12,246 calls at n = 12
+    # two arrow directions times 12 range cases, classified once for the
+    # pair classes of every n and the gap classes of every word length; the
+    # all-pairs sweep would make m(m-1)/2 = 12,246 calls at n = 12
     calls = count_calls(complexes, "pair_relation")
+    complexes._model_cases.cache_clear()
     complexes._pair_classes.__wrapped__(12, None)
+    assert 0 < len(calls) <= 24
+    axioms._gap_classes.__wrapped__(12)
+    complexes._pair_classes.__wrapped__(11, None)
     assert 0 < len(calls) <= 24
 
 

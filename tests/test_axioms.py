@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from rootflags import axioms
+from rootflags import axioms, complexes
 from rootflags.axioms import (
     BipartiteEnsemble,
     MultiplicityError,
@@ -261,3 +261,23 @@ def test_verify_all_solves_each_word_once_per_orbit(count_calls):
     words = [word for k in (1, 2, 3) for word in axioms._words(k)]
     assert Counter(args[2] for args in calls) == dict.fromkeys(words, 30)
     assert len(calls) == 30 * 28
+
+
+def test_passing_member_codes_read_their_orbit_verdicts(count_calls):
+    # a code that is not its orbit's least and passes reads the verdicts of
+    # the least code: it relabels no word and builds no masks of its own;
+    # the members here take each of the three symmetries
+    n = 6
+    members = [RuleSet.from_code(code) for code in (2, 24, 36, 40, 45)]
+    for rs in members:
+        axioms.verify(orbit_of(rs)[0], n)
+    relabels = count_calls(axioms, "_relabeled")
+    masks = [count_calls(axioms, "_adjacency"), count_calls(complexes, "_adjacency")]
+    reports = [axioms.verify(rs, n) for rs in members[:-1]]
+    assert all(report.passed for report in sum(reports, []))
+    assert relabels == [] and masks == [[], []]
+    # code 45 fails all three: its witness walks build its own masks, and
+    # support relabels only its first failing word
+    assert not any(report.passed for report in axioms.verify(members[-1], n))
+    assert len(relabels) == 1
+    assert {args[0] for calls in masks for args in calls} == {45}

@@ -3,7 +3,10 @@ over all 64 codes, the invalid ones included.
 
 The reports must agree exactly: verdict, witnesses and their order.  This
 also catches a linkage check that wrongly passes, which the n = 5 verdicts
-alone would not show.  Support matching lists (in their order) and
+alone would not show.  The gap-mask linkage verdict meets the placement
+walk it replaced, each code's verdicts decided on its orbit's least code
+meet those decided on its own word table, and the per-word relabel meets
+the direct solve.  Support matching lists (in their order) and
 restriction ensembles are compared the same way, and so are the face stream
 with its forest flags and the pruned walk that lists circuit faces.  On
 K_{a,b}, the mask kernel of the matching-ensemble axioms meets the set-based
@@ -131,20 +134,80 @@ def test_first_support_witness_is_the_walks_first(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_relabeled_word_tables_match_direct_solve(n):
-    # each code's table is relabeled from its orbit's least code's; solving
-    # the code's own words gives the same words and the same matching lists,
-    # in the same order
+    # each code's matchings of a word are relabeled from its orbit's least
+    # code's table; solving the code's own words gives the same matching
+    # lists, in the same order, for every word
     relabeled = longest = 0
     for rs in CODES:
         want = axioms._word_table.__wrapped__(rs.code, n)
-        got = axioms._code_table(rs.code, n)
-        assert list(got.items()) == list(want.items()), (rs.letters, n)
+        got = {word: axioms._relabeled(rs.code, n, word) for word in want}
+        assert got == want, (rs.letters, n)
         if rules.orbit_of(rs)[0] != rs:
             relabeled += 1
             longest = max(longest, *map(len, got.values()))
     assert relabeled == 64 - len({rules.orbit_of(rs) for rs in CODES}) == 34
     # from n = 5 some relabeled lists hold several matchings, whose order counts
     assert longest >= 2 or n < 5
+
+
+@pytest.mark.parametrize(
+    "n", [*range(8), *(pytest.param(n, marks=pytest.mark.slow) for n in (8, 9, 10))]
+)
+def test_linkage_gap_masks_match_placement_walk(n):
+    # the gap-mask verdict on each code's own word table against the
+    # placement walk it replaced, for every code, the invalid ones included;
+    # at n = 10 on the 30 orbit least codes, whose verdicts verify reads
+    codes = [rs for rs in CODES if n < 10 or rules.orbit_of(rs)[0] == rs]
+    assert len(codes) == (64 if n < 10 else 30)
+    verdicts = [axioms._linkage_holds(rs.code, n) for rs in codes]
+    assert verdicts == [brute.linkage_holds_on_words(rs, n) for rs in codes]
+    # linkage first fails at n = 4
+    assert all(verdicts) == (n < 4)
+
+
+@pytest.mark.slow
+def test_linkage_witnesses_match_oracle_n6():
+    # every linkage witness, in order, read off the gap masks of each face;
+    # the tier-1 comparison stops at n = 5 with the first witness
+    for rs in CODES:
+        want = brute.check_linkage_axiom(rs, 6, all_witnesses=True)
+        got = axioms.check_linkage_axiom(rs, 6, all_witnesses=True)
+        assert got.to_json_dict() == want.to_json_dict(), rs.letters
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_orbit_verdicts_match_own_table_verdicts(n):
+    # verify decides each axiom on the orbit's least code; deciding it on
+    # every code's own word table and masks gives the same verdicts
+    for rs in CODES:
+        own = axioms._word_table.__wrapped__(rs.code, n)
+        want = [
+            not axioms._circuit_cores(rs.code, n),
+            all(len(matchings) == 1 for matchings in own.values()),
+            axioms._linkage_holds(rs.code, n),
+        ]
+        assert [report.passed for report in axioms.verify(rs, n)] == want, (rs.letters, n)
+
+
+def test_gap_tables_are_the_edge_predicate(shared_pair_relation):
+    # every gap bit of every position triple, for every code and every word
+    # length up to 6: the relinked arrow at a with k in the gap, against
+    # is_edge with position p on node 2p+2 and gap g on node 2g+1
+    for length in range(3, 7):
+        for rs in CODES:
+            table = axioms._gap_table(rs.code, length)
+            for a, t, h in itertools.product(range(length), repeat=3):
+                got = table[a][t * length + h]
+                if len({a, t, h}) < 3:
+                    assert got == -1, (rs.letters, a, t, h)
+                    continue
+                other = Arrow(2 * t + 2, 2 * h + 2)
+                want = 0
+                for gap in range(length + 1):
+                    k = 2 * gap + 1
+                    want |= rules.is_edge(rs, Arrow(k, 2 * a + 2), other) << gap
+                    want |= rules.is_edge(rs, Arrow(2 * a + 2, k), other) << gap + length + 1
+                assert got == want, (rs.letters, length, a, t, h)
 
 
 @pytest.mark.parametrize("n", range(5))

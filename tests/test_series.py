@@ -291,6 +291,18 @@ def test_catalan_triangle_refuses_entries_outside_the_triangle(n, k):
         catalan_triangle(n, k)
 
 
+@pytest.mark.parametrize("n, j", [(2, -1), (-1, 0), (-1, -1)])
+def test_backward_only_coefficient_refuses_negative_arguments(n, j):
+    with pytest.raises(ValueError, match=f"^need 0 <= j and 0 <= n, got j={j}, n={n}$"):
+        backward_only_coefficient(n, j)
+
+
+def test_backward_only_coefficient_is_zero_above_n():
+    # a face of V_n has at most n backward arrows; the series agrees
+    assert [backward_only_coefficient(n, n + 1) for n in range(5)] == [0] * 5
+    assert backward_only_coefficient(1, 3) == 0
+
+
 # -- revlex class ------------------------------------------------------------
 
 

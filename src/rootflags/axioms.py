@@ -8,15 +8,19 @@ node by relinking one arrow endpoint).  Both are decided here
 exhaustively on the adjacency bitmasks of ``complexes.adjacency``, together
 with the underlying matching-ensemble axioms on complete bipartite graphs
 and the spanning-tree correspondence.  All three verdicts are read off one
-table of the T/H words and their matchings (``_word_table``): support
-counts each word's matchings, a circuit is a pair of matchings of one word
-whose arrows are pairwise edges, and linkage ANDs and ORs per-gap edge
-masks over each matching (``_gap_cover``).  Dual swaps T and H in every
-word and reflected dual also reverses it, so both carry a code's table
-exactly onto the other codes of its orbit, and each verdict is decided
-once per orbit, on the orbit's least code.  Only a failing code relabels
-words (``_relabeled``) and walks its own faces, by the clique walk of
-``complexes._iter_cliques``, to list its witnesses.
+table of the T/H words and their matchings (``_word_table``), built by one
+walk over the matching faces on the lowest nodes: support counts each
+word's matchings, a circuit is a pair of matchings of one word whose
+arrows are pairwise edges, and linkage ANDs and ORs per-gap edge masks
+over each matching (``_gap_cover``) and keeps the matchings that miss a
+gap.  Dual swaps T and H in every word and reflected dual also reverses
+it, so both carry a code's table exactly onto the other codes of its
+orbit, and each verdict is decided once per orbit, on the orbit's least
+code.  Only a failing code lists witnesses: support relabels its first
+failing word (``_relabeled``), linkage places the least of the misses
+carried onto the code (``_first_failing_face``), and a code with a
+circuit, or a failing code asked for every linkage witness, walks its own
+faces by the clique walk of ``complexes._iter_cliques``.
 
 Bipartite objects live on K_{a,b} with left part 1..a and right part 1..b.
 The public functions take and return edges as plain (left, right) pairs and
@@ -231,15 +235,50 @@ _SWAP = str.maketrans("TH", "HT")
 @lru_cache(maxsize=30)
 def _word_table(code: int, n: int) -> WordTable:
     """Every T/H word of length at most n+1, in ``_words`` order, with its
-    ``_word_matchings`` on the masks of V_n.  The checks solve it only for
-    the least code of an orbit, so ``verify --all`` solves each word once
-    per orbit; one (code, n) per orbit is kept."""
+    ``_word_matchings`` on the masks of V_n, all from one walk.
+
+    The walk covers the matching faces of V_n inside the nodes 1..top, top
+    the largest even number <= n+1: each step covers the lowest uncovered
+    node by one of its arrows that is a neighbour of every arrow chosen so
+    far and shares no node with one.  A face whose nodes are exactly 1..2k
+    is a matching of the word its tails and heads trace; each word's list
+    is then sorted into the order of ``_word_matchings``, that of the
+    (tail, head) tuples.  The checks build it only for the least code of an
+    orbit, so ``verify --all`` walks once per orbit; one (code, n) per
+    orbit is kept."""
     masks = _adjacency(code, n)[1]
-    return {
-        word: _word_matchings(n, masks, word)
-        for k in range(1, (n + 1) // 2 + 1)
-        for word in _words(k)
+    leaving, entering, positions, apart = _walk_tables(n)
+    top = (n + 1) // 2 * 2
+    table: WordTable = {word: [] for k in range(1, top // 2 + 1) for word in _words(k)}
+    # a word's list by its tail positions as bits, with a bit just above
+    found = {
+        sum(1 << p for p, letter in enumerate(word) if letter == "T") | 1 << len(word): matchings
+        for word, matchings in table.items()
     }
+    incident = [leaving[x] | entering[x] for x in range(1, top + 1)]  # by 0-based position
+    chosen: list[tuple[int, int]] = []
+
+    def walk(covered: int, tails: int, cand: int) -> None:
+        low = ~covered & covered + 1
+        x = low.bit_length() - 1  # the lowest uncovered position
+        if 0 < x == 2 * len(chosen):  # the nodes are 1..2k
+            found[tails | low].append(tuple(sorted(chosen)))
+        if x >= top - 1:
+            return
+        step = cand & incident[x]
+        while step:
+            bit = step & -step
+            v = bit.bit_length() - 1
+            step ^= bit
+            t, h = positions[v]
+            chosen.append(positions[v])
+            walk(covered | 1 << t | 1 << h, tails | 1 << t, cand & masks[v] & apart[v])
+            chosen.pop()
+
+    walk(0, 0, reduce(or_, leaving[1 : top + 1], 0) & reduce(or_, entering[1 : top + 1], 0))
+    for matchings in table.values():
+        matchings.sort()
+    return table
 
 
 @lru_cache(maxsize=64)
@@ -403,19 +442,48 @@ def _gap_cover(
     return cover
 
 
+LinkageMiss = tuple[int, tuple[tuple[int, int], ...], int]
+
+
 @lru_cache(maxsize=64)
-def _linkage_holds(code: int, n: int) -> bool:
-    """Linkage decided once per T/H word: every matching of every word of
-    length 2r <= n in ``_word_table`` absorbs an outside node in each of its
-    2r+1 gaps on both sides (``_gap_cover``), which by uniformity is the
-    axiom for all matching faces at size n.  A single arrow always relinks,
-    so words start at r = 2."""
-    return all(
-        _gap_cover(_gap_table(code, len(word)), len(word), m) == (1 << 2 * len(word) + 2) - 1
-        for word, matchings in _word_table(code, n).items()
-        if 4 <= len(word) <= n
-        for m in matchings
-    )
+def _linkage_misses(code: int, n: int) -> tuple[LinkageMiss, ...]:
+    """Linkage decided once per T/H word: the matchings of the words of
+    length 2r <= n in ``_word_table`` that fail to absorb an outside node
+    in some of their 2r+1 gaps on some side, as (length, matching, the gap
+    bits that ``_gap_cover`` misses).  By uniformity the axiom holds for
+    all matching faces at size n exactly when there are none.  A single
+    arrow always relinks, so words start at r = 2."""
+    misses = []
+    for word, matchings in _word_table(code, n).items():
+        length = len(word)
+        if not 4 <= length <= n:
+            continue
+        table, full = _gap_table(code, length), (1 << 2 * length + 2) - 1
+        for m in matchings:
+            missed = full ^ _gap_cover(table, length, m)
+            if missed:
+                misses.append((length, m, missed))
+    return tuple(misses)
+
+
+def _first_failing_face(misses: Iterable[LinkageMiss], swap: bool, reverse: bool) -> list[Arrow]:
+    """The first face in the order of ``matching_faces`` that fails linkage,
+    for the code that a symmetry carries the misses of its orbit's least
+    code onto.  The faces come in the order of their sorted arrow tuples,
+    and the least placement of a matching that leaves a node outside in
+    gap g puts position p on node p+1 when p < g and on node p+2 when
+    p >= g; the higher the gap, the lower every node.  So each matching
+    fails first at its highest missed gap, on either side, and the first
+    face is the least of these placements.  A swap of T and H exchanges
+    the sides of each gap and reversal maps gap g to gap length-g."""
+
+    def placed(length: int, m: Sequence[tuple[int, int]], missed: int) -> tuple:
+        gaps = (missed | missed >> length + 1) & (1 << length + 1) - 1
+        g = length + 1 - (gaps & -gaps).bit_length() if reverse else gaps.bit_length() - 1
+        m = _moved(m, length - 1, swap, reverse)
+        return tuple((t + 1 + (t >= g), h + 1 + (h >= g)) for t, h in m)
+
+    return [Arrow(*arrow) for arrow in min(placed(*miss) for miss in misses)]
 
 
 def check_linkage_axiom(rs: RuleSet, n: int, all_witnesses: bool = False) -> AxiomReport:
@@ -423,28 +491,32 @@ def check_linkage_axiom(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axi
     a relink that absorbs k as a tail and one that absorbs k as a head.
 
     The verdict is decided once per T/H word of the orbit's least code
-    (``_linkage_holds``): a symmetry carries faces and relinks onto the
-    other members.  Only when it fails are the code's matching faces
-    walked, in the order of ``matching_faces``, to list the witnesses, each
-    face reading the gaps it covers from its word's positions.  A single
-    arrow always relinks, so only faces of two or more arrows that leave a
-    node outside are tested."""
+    (``_linkage_misses``): a symmetry carries faces and relinks onto the
+    other members.  When it fails, the first failing face in the order of
+    ``matching_faces`` is read off the misses (``_first_failing_face``);
+    only for all witnesses are the code's matching faces walked, in that
+    order.  Each face reads the gaps it covers from its word's positions
+    and lists its outside nodes k and sides that no relink absorbs.  A
+    single arrow always relinks, so only faces of two or more arrows that
+    leave a node outside are tested."""
     check_ambient_size(n)
-    if _linkage_holds(_orbit_relabel(rs.code)[0], n):
+    least, swap, reverse = _orbit_relabel(rs.code)
+    misses = _linkage_misses(least, n)
+    if not misses:
         return AxiomReport("linkage", True)
-    arrows, masks = adjacency(rs, n)
+    if all_witnesses:
+        arrows, masks = adjacency(rs, n)
+        # the walk of matching_faces, on arrow indices (frozensets cost per
+        # face), up to the faces that leave a node outside
+        walk = _iter_cliques(arrows, tuple(map(and_, masks, _walk_tables(n)[3])), n, n // 2)
+        faces = ([arrows[v] for v in face] for face, _ in walk if len(face) >= 2)
+    else:
+        faces = [_first_failing_face(misses, swap, reverse)]
     witnesses = []
-    # the walk of matching_faces, on arrow indices (frozensets cost per
-    # face), up to the faces that leave a node outside
-    faces = _iter_cliques(arrows, tuple(map(and_, masks, _walk_tables(n)[3])), n, n // 2)
-    tables = {length: _gap_table(rs.code, length) for length in range(4, n + 1, 2)}
-    for face, _ in faces:
-        length = 2 * len(face)
-        if length < 4:  # the empty face and single arrows
-            continue
-        sigma = [arrows[v] for v in face]
+    for sigma in faces:
+        length = 2 * len(sigma)
         at = {x: p for p, x in enumerate(sorted(x for a in sigma for x in a))}
-        cover = _gap_cover(tables[length], length, [(at[t], at[h]) for t, h in sigma])
+        cover = _gap_cover(_gap_table(rs.code, length), length, [(at[t], at[h]) for t, h in sigma])
         if cover == (1 << 2 * length + 2) - 1:
             continue
         gap = 0  # the face's nodes below k
@@ -469,7 +541,7 @@ def check_linkage_axiom(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axi
                 )
                 if not all_witnesses:
                     return AxiomReport("linkage", False, tuple(witnesses))
-    return AxiomReport("linkage", not witnesses, tuple(witnesses))
+    return AxiomReport("linkage", False, tuple(witnesses))
 
 
 @lru_cache(maxsize=64)

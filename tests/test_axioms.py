@@ -1,4 +1,4 @@
-from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -237,30 +237,44 @@ def test_equal_restriction_families_share_one_object():
     assert other != restriction_ensemble(LEX, (1, 4), (2, 3)).matchings
 
 
-def test_verify_solves_each_word_once(count_calls):
-    # permissibility, support and linkage all read one word table; code 30
-    # fails all three at n = 6, so their witness walks run too
-    axioms._word_table.cache_clear()
-    calls = count_calls(axioms, "_word_matchings")
-    reports = axioms.verify(RuleSet.from_code(30), 6)
+def _count_table_walks(monkeypatch):
+    # a fresh cache around the table walk, recording each (code, n) it walks
+    walks = []
+    build = axioms._word_table.__wrapped__
+
+    def walk(code, n):
+        walks.append((code, n))
+        return build(code, n)
+
+    monkeypatch.setattr(axioms, "_word_table", lru_cache(maxsize=30)(walk))
+    return walks
+
+
+def test_verify_walks_one_word_table(monkeypatch, count_calls):
+    # permissibility, support and linkage all read one word table, built by
+    # one walk and not by a search per word; code 30 fails all three at
+    # n = 6, so their witnesses are listed too
+    walks = _count_table_walks(monkeypatch)
+    searches = count_calls(axioms, "_word_matchings")
+    rs = RuleSet.from_code(30)
+    reports = axioms.verify(rs, 6)
     assert not any(report.passed for report in reports)
-    words = [args[2] for args in calls]
-    assert len(words) == len(set(words)) == 2 + 6 + 20  # the words of 1, 2 and 3 tails
+    assert walks == [(orbit_of(rs)[0].code, 6)]
+    assert searches == []
 
 
-def test_verify_all_solves_each_word_once_per_orbit(count_calls):
-    # the 64 codes fall into 30 orbits; only each orbit's least code solves
-    # its words, the other members relabel that table
-    axioms._word_table.cache_clear()
-    calls = count_calls(axioms, "_word_matchings")
+def test_verify_all_walks_one_word_table_per_orbit(monkeypatch, count_calls):
+    # the 64 codes fall into 30 orbits; only each orbit's least code walks
+    # its table, the other members relabel it
+    walks = _count_table_walks(monkeypatch)
+    searches = count_calls(axioms, "_word_matchings")
     codes = [RuleSet.from_code(code) for code in range(64)]
     for rs in codes:
         axioms.verify(rs, 6)
     orbits = {orbit_of(rs) for rs in codes}
     assert len(orbits) == 30
-    words = [word for k in (1, 2, 3) for word in axioms._words(k)]
-    assert Counter(args[2] for args in calls) == dict.fromkeys(words, 30)
-    assert len(calls) == 30 * 28
+    assert sorted(walks) == sorted((orbit[0].code, 6) for orbit in orbits)
+    assert searches == []
 
 
 def test_passing_member_codes_read_their_orbit_verdicts(count_calls):

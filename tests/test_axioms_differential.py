@@ -5,10 +5,12 @@ The reports must agree exactly: verdict, witnesses and their order.  This
 also catches a linkage check that wrongly passes, which the n = 5 verdicts
 alone would not show.  The gap-mask linkage verdict meets the placement
 walk it replaced, each code's verdicts decided on its orbit's least code
-meet those decided on its own word table, and the per-word relabel meets
-the direct solve.  Support matching lists (in their order) and
-restriction ensembles are compared the same way, and so are the face stream
-with its forest flags and the pruned walk that lists circuit faces.  On
+meet those decided on its own word table, the per-word relabel meets the
+direct solve, the one-walk word table meets one search per word, and the
+first linkage witness read off the misses meets the face walk's first.
+Support matching lists (in their order) and restriction ensembles are
+compared the same way, and so are the face stream with its forest flags
+and the pruned walk that lists circuit faces.  On
 K_{a,b}, the mask kernel of the matching-ensemble axioms meets the set-based
 oracle on every small family and on drawn ones, and lists the same witnesses
 in the same order as the scanning mask oracle; the tree table meets the
@@ -151,6 +153,45 @@ def test_relabeled_word_tables_match_direct_solve(n):
 
 
 @pytest.mark.parametrize(
+    "n", [*range(9), *(pytest.param(n, marks=pytest.mark.slow) for n in (9, 10))]
+)
+def test_word_table_walk_matches_per_word_solve(n):
+    # the one-walk table against one _word_matchings search per word, in
+    # order, for every code, the invalid ones included; at n = 10 on the 30
+    # orbit least codes, whose tables verify builds
+    codes = [rs for rs in CODES if n < 10 or rules.orbit_of(rs)[0] == rs]
+    several = 0
+    for rs in codes:
+        masks = adjacency(rs, n)[1]
+        want = {
+            word: axioms._word_matchings(n, masks, word)
+            for k in range(1, (n + 1) // 2 + 1)
+            for word in axioms._words(k)
+        }
+        got = axioms._word_table.__wrapped__(rs.code, n)
+        assert list(got) == list(want) and got == want, (rs.letters, n)
+        several += any(len(matchings) > 1 for matchings in got.values())
+    # from n = 5 some lists hold several matchings, whose order counts
+    assert (several > 0) == (n >= 5)
+
+
+@pytest.mark.parametrize(
+    "n", [*range(1, 8), *(pytest.param(n, marks=pytest.mark.slow) for n in (8, 9))]
+)
+def test_first_linkage_witness_is_the_walks_first(n):
+    # the first witness is read off the orbit's misses; the walk over every
+    # matching face in order, which lists all witnesses, must start with it
+    failed = 0
+    for rs in CODES:
+        every = axioms.check_linkage_axiom(rs, n, all_witnesses=True)
+        first = axioms.check_linkage_axiom(rs, n)
+        assert first.to_json_dict() == _first_witness(every).to_json_dict(), (rs.letters, n)
+        failed += not first.passed
+    # linkage first fails at n = 4, for 24 codes, and for 26 from n = 6
+    assert failed == (0 if n < 4 else 24 if n < 6 else 26)
+
+
+@pytest.mark.parametrize(
     "n", [*range(8), *(pytest.param(n, marks=pytest.mark.slow) for n in (8, 9, 10))]
 )
 def test_linkage_gap_masks_match_placement_walk(n):
@@ -159,7 +200,7 @@ def test_linkage_gap_masks_match_placement_walk(n):
     # at n = 10 on the 30 orbit least codes, whose verdicts verify reads
     codes = [rs for rs in CODES if n < 10 or rules.orbit_of(rs)[0] == rs]
     assert len(codes) == (64 if n < 10 else 30)
-    verdicts = [axioms._linkage_holds(rs.code, n) for rs in codes]
+    verdicts = [not axioms._linkage_misses(rs.code, n) for rs in codes]
     assert verdicts == [brute.linkage_holds_on_words(rs, n) for rs in codes]
     # linkage first fails at n = 4
     assert all(verdicts) == (n < 4)
@@ -184,7 +225,7 @@ def test_orbit_verdicts_match_own_table_verdicts(n):
         want = [
             not axioms._circuit_cores(rs.code, n),
             all(len(matchings) == 1 for matchings in own.values()),
-            axioms._linkage_holds(rs.code, n),
+            not axioms._linkage_misses(rs.code, n),
         ]
         assert [report.passed for report in axioms.verify(rs, n)] == want, (rs.letters, n)
 

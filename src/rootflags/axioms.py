@@ -20,7 +20,9 @@ code.  Only a failing code lists witnesses: support relabels its first
 failing word (``_relabeled``), linkage places the least of the misses
 carried onto the code (``_first_failing_face``), and a code with a
 circuit, or a failing code asked for every linkage witness, walks its own
-faces by the clique walk of ``complexes._iter_cliques``.
+faces by the clique walk of ``complexes._iter_cliques``.  The one map
+from nodes to arrows is ``complexes._node_masks``: arrow (t, h) is the
+one bit of leaving[t] & entering[h].
 
 Bipartite objects live on K_{a,b} with left part 1..a and right part 1..b.
 The public functions take and return edges as plain (left, right) pairs and
@@ -44,7 +46,7 @@ from ._record import Record
 from .complexes import _adjacency, _code_rows, _count_order, _iter_cliques, _model_cases
 from .complexes import _node_masks, _pair_classes
 from .complexes import adjacency, check_ambient_size
-from .matchings import THWord, _trace, th_word
+from .matchings import _trace, th_word
 from .rules import Arrow, RuleSet, orbit_of
 
 Matching = frozenset[Arrow]
@@ -103,15 +105,6 @@ def _arrow_json(arrows: Iterable[Arrow]) -> list[list[int]]:
 
 
 @lru_cache(maxsize=16)
-def _index_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """index[t][h]: position of the arrow (t, h) in ``arrows_of(n)``."""
-    size = n + 2
-    return tuple(
-        tuple((t - 1) * n + h - 1 - (h > t) for h in range(size)) for t in range(size)
-    )
-
-
-@lru_cache(maxsize=16)
 def _walk_tables(
     n: int,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...], tuple[int, ...]]:
@@ -129,35 +122,19 @@ def _walk_tables(
     )
 
 
-def _word_support(rs: RuleSet, word: THWord) -> list[Matching]:
-    """``all_support_matchings`` of the I and J that trace the word."""
-    nodes = word.positions
-    n = max(len(nodes) - 1, 0)
-    return [
-        frozenset(Arrow(nodes[t], nodes[h]) for t, h in matching)
-        for matching in _word_matchings(n, adjacency(rs, n)[1], word.letters)
-    ]
-
-
-def all_support_matchings(
-    rs: RuleSet, tails: Sequence[int], heads: Sequence[int]
-) -> list[Matching]:
-    """All matchings of I onto J whose arrows are pairwise edges, in tail
-    order, each tail trying the free heads in increasing order.
-
-    By uniformity they are the matchings of the T/H word that I and J trace,
-    solved on nodes 1..|I|+|J| and relabeled onto I and J.
-    """
-    return _word_support(rs, th_word(tails, heads))
-
-
 def support_matching(
     rs: RuleSet, tails: Sequence[int], heads: Sequence[int]
 ) -> Matching:
-    """The unique matching face from I onto J; raises MultiplicityError
-    carrying all matchings found when the count differs from one."""
+    """The unique matching face from I onto J, solved by uniformity on the
+    T/H word they trace and relabeled; raises MultiplicityError carrying all
+    matchings found (in ``_word_matchings`` order) when there is not one."""
     word = th_word(tails, heads)
-    found = _word_support(rs, word)
+    nodes = word.positions
+    n = max(len(nodes) - 1, 0)
+    found = [
+        frozenset(Arrow(nodes[t], nodes[h]) for t, h in matching)
+        for matching in _word_matchings(n, adjacency(rs, n)[1], word.letters)
+    ]
     if len(found) != 1:
         annotated = word.annotated()
         raise MultiplicityError(
@@ -192,11 +169,11 @@ def _word_matchings(
     arrows are pairwise edges, with the word placed on nodes 1..len(word).
 
     Each matching is a tuple of 0-based (tail, head) positions in tail order;
-    the list is in the order of ``all_support_matchings``: tails in order,
-    each trying the free heads in increasing order.  A tail's candidates
-    are the set bits of its row (its arrows into the word's heads) that are
-    neighbours of every arrow chosen so far and share no node with one;
-    for a fixed tail the arrow index grows with the head.
+    the list is in tail order, each tail trying the free heads in increasing
+    order, as ``support_matching`` reports them.  A tail's candidates are
+    the set bits of its row (its arrows into the word's heads) that are
+    neighbours of every arrow chosen so far and share no node with one; for
+    a fixed tail the arrow index grows with the head.
     """
     leaving, entering, positions, apart = _walk_tables(n)
     heads = 0
@@ -373,17 +350,6 @@ def check_support_axiom(
     return AxiomReport("support", False, tuple(witnesses))
 
 
-def matching_faces(rs: RuleSet, n: int) -> Iterator[Matching]:
-    """All faces that are matchings (pairwise node-disjoint arrows): the
-    clique walk on each arrow's neighbours that share no node with it."""
-    check_ambient_size(n)
-    arrows, masks = adjacency(rs, n)
-    faces = _iter_cliques(arrows, tuple(map(and_, masks, _walk_tables(n)[3])), n)
-    next(faces)  # the empty face
-    for face, _ in faces:
-        yield frozenset(arrows[v] for v in face)
-
-
 @lru_cache(maxsize=16)
 def _gap_classes(length: int) -> tuple[tuple[int, ...], dict[tuple[str, str], tuple[int, ...]]]:
     """The code-free part of ``_gap_table``: -1 at the triples that are not
@@ -467,15 +433,16 @@ def _linkage_misses(code: int, n: int) -> tuple[LinkageMiss, ...]:
 
 
 def _first_failing_face(misses: Iterable[LinkageMiss], swap: bool, reverse: bool) -> list[Arrow]:
-    """The first face in the order of ``matching_faces`` that fails linkage,
-    for the code that a symmetry carries the misses of its orbit's least
-    code onto.  The faces come in the order of their sorted arrow tuples,
-    and the least placement of a matching that leaves a node outside in
-    gap g puts position p on node p+1 when p < g and on node p+2 when
-    p >= g; the higher the gap, the lower every node.  So each matching
-    fails first at its highest missed gap, on either side, and the first
-    face is the least of these placements.  A swap of T and H exchanges
-    the sides of each gap and reversal maps gap g to gap length-g."""
+    """The first face in the order of the linkage walk (``check_linkage_axiom``)
+    that fails linkage, for the code that a symmetry carries the misses of
+    its orbit's least code onto.  The walk yields faces in the order of
+    their sorted arrow tuples, and the least placement of a matching that
+    leaves a node outside in gap g puts position p on node p+1 when p < g
+    and on node p+2 when p >= g; the higher the gap, the lower every node.
+    So each matching fails first at its highest missed gap, on either side,
+    and the first face is the least of these placements.  A swap of T and
+    H exchanges the sides of each gap and reversal maps gap g to gap
+    length-g."""
 
     def placed(length: int, m: Sequence[tuple[int, int]], missed: int) -> tuple:
         gaps = (missed | missed >> length + 1) & (1 << length + 1) - 1
@@ -492,13 +459,15 @@ def check_linkage_axiom(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axi
 
     The verdict is decided once per T/H word of the orbit's least code
     (``_linkage_misses``): a symmetry carries faces and relinks onto the
-    other members.  When it fails, the first failing face in the order of
-    ``matching_faces`` is read off the misses (``_first_failing_face``);
-    only for all witnesses are the code's matching faces walked, in that
-    order.  Each face reads the gaps it covers from its word's positions
-    and lists its outside nodes k and sides that no relink absorbs.  A
-    single arrow always relinks, so only faces of two or more arrows that
-    leave a node outside are tested."""
+    other members.  The linkage walk lists the code's matching faces in the
+    order of their sorted arrow tuples: the clique walk on each arrow's
+    neighbours that share no node with it.  When the axiom fails, the first
+    failing face of that walk is read off the misses
+    (``_first_failing_face``); only for all witnesses is it walked.  Each
+    face reads the gaps it covers from its word's positions and lists its
+    outside nodes k and sides that no relink absorbs.  A single arrow
+    always relinks, so only faces of two or more arrows that leave a node
+    outside are tested."""
     check_ambient_size(n)
     least, swap, reverse = _orbit_relabel(rs.code)
     misses = _linkage_misses(least, n)
@@ -506,8 +475,8 @@ def check_linkage_axiom(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axi
         return AxiomReport("linkage", True)
     if all_witnesses:
         arrows, masks = adjacency(rs, n)
-        # the walk of matching_faces, on arrow indices (frozensets cost per
-        # face), up to the faces that leave a node outside
+        # the matching faces on arrow indices, up to the faces that leave a
+        # node outside
         walk = _iter_cliques(arrows, tuple(map(and_, masks, _walk_tables(n)[3])), n, n // 2)
         faces = ([arrows[v] for v in face] for face, _ in walk if len(face) >= 2)
     else:
@@ -562,14 +531,13 @@ def _circuit_cores(code: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]
     no core.
     """
     masks = _adjacency(code, n)[1]
-    index = _index_table(n)
+    leaving, entering = _walk_tables(n)[:2]  # (t, h) is leaving[t] & entering[h]
     cores = []
     for matchings in _word_table(code, n).values():
         if len(matchings) < 2:
             continue
-        arrows = [[index[t + 1][h + 1] for t, h in m] for m in matchings]
-        bits = [sum(1 << v for v in m) for m in arrows]
-        common = [reduce(and_, (masks[v] for v in m)) for m in arrows]
+        bits = [sum(leaving[t + 1] & entering[h + 1] for t, h in m) for m in matchings]
+        common = [reduce(and_, (masks[v] for v in _ones(m))) for m in bits]
         for i, j in itertools.combinations(range(len(matchings)), 2):
             if not bits[j] & ~common[i]:
                 cores.append(matchings[i] + matchings[j])
@@ -601,7 +569,7 @@ def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axiom
     if not cores:
         return AxiomReport("permissible", True)
     arrows, masks = adjacency(rs, n)
-    index = _index_table(n)
+    leaving, entering = _walk_tables(n)[:2]
     # the placed cores by their highest arrow: the prune is asked only about
     # faces that are forests, so a core inside a face and its candidates
     # has its highest arrow among the candidates
@@ -609,7 +577,7 @@ def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axiom
     for core in cores:
         core = _moved(core, len(core) - 1, swap, reverse)
         for nodes in itertools.combinations(range(1, n + 2), len(core)):  # 2r arrows, 2r nodes
-            placed = sum(1 << index[nodes[t]][nodes[h]] for t, h in core)
+            placed = sum(leaving[nodes[t]] & entering[nodes[h]] for t, h in core)
             by_top.setdefault(placed.bit_length() - 1, []).append(placed)
     tops = sum(1 << top for top in by_top)
 

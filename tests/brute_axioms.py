@@ -15,7 +15,9 @@ masks of ``edge_masks``; the library decides circuits per T/H word instead,
 from pairs of a word's matchings.  ``linkage_holds_on_words`` is the
 placement walk that decided linkage per word before the gap masks: every
 matching of a word placed around each outside node, with the AND of the
-other arrows' neighbour masks rebuilt per placement.
+other arrows' neighbour masks rebuilt per placement; it finds each placed
+arrow by its own index over ``arrows_of``, not by the library's per-node
+arrow masks.
 
 The K_{a,b} layer is kept here on frozensets of (left, right) edges: the
 matching-ensemble axioms (closure, support and linkage, each by its
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from rootflags.axioms import (
     AxiomReport,
@@ -46,7 +48,6 @@ from rootflags.axioms import (
     _arrow_json,
     _disjoint_pairs,
     _edge_set,
-    _index_table,
     _matchings_in,
     _ones,
     _spanning_trees,
@@ -271,16 +272,20 @@ def check_linkage_axiom(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axi
 
 
 def _relinks(
-    index: Sequence[Sequence[int]], sigma: Sequence[tuple[int, int]], rests: Sequence[int], k: int
+    index: Mapping[tuple[int, int], int],
+    sigma: Sequence[tuple[int, int]],
+    rests: Sequence[int],
+    k: int,
 ) -> tuple[bool, bool]:
     """Whether the matching face sigma, given as (tail, head) node pairs, can
     absorb the outside node k as a tail, and as a head, by relinking one
     arrow so that the new arrow is an edge to every other arrow of sigma;
-    rests[i] is the AND of the neighbour masks of all arrows but the i-th."""
+    rests[i] is the AND of the neighbour masks of all arrows but the i-th,
+    and index maps (tail, head) to the arrow's position in ``arrows_of``."""
     as_tail = as_head = False
     for (t, h), rest in zip(sigma, rests):
-        as_tail = as_tail or bool(rest >> index[k][h] & 1)
-        as_head = as_head or bool(rest >> index[t][k] & 1)
+        as_tail = as_tail or bool(rest >> index[k, h] & 1)
+        as_head = as_head or bool(rest >> index[t, k] & 1)
     return as_tail, as_head
 
 
@@ -303,7 +308,7 @@ def linkage_holds_on_words(rs: RuleSet, n: int) -> bool:
     each placement with its own rests.  A single arrow always relinks, so
     words start at r = 2."""
     masks = _adjacency(rs.code, n)[1]
-    index = _index_table(n)
+    index = {(t, h): v for v, (t, h) in enumerate(arrows_of(n))}
     for word, matchings in _word_table.__wrapped__(rs.code, n).items():
         if not 4 <= len(word) <= n:
             continue
@@ -312,7 +317,7 @@ def linkage_holds_on_words(rs: RuleSet, n: int) -> bool:
                 sigma = [
                     (t + 1 + (t + 1 >= k), h + 1 + (h + 1 >= k)) for t, h in matching
                 ]
-                rests = _rests(masks, [index[t][h] for t, h in sigma])
+                rests = _rests(masks, [index[arrow] for arrow in sigma])
                 if not all(_relinks(index, sigma, rests, k)):
                     return False
     return True

@@ -4,7 +4,9 @@
 builds every row from node masks; the oracle here classifies every arrow
 pair of V_n with ``pair_relation``.  ``_adjacency`` is also compared, for
 all 64 codes, with the masks of the pairwise edge predicate, and its
-count-order masks with its index-order masks.
+count-order masks with its index-order masks.  The per-node masks of
+``_node_masks`` place every arrow (t, h) on the one bit of
+leaving[t] & entering[h], in both arrow orders.
 """
 
 from functools import lru_cache
@@ -89,3 +91,18 @@ def test_count_order_masks_are_the_index_masks_relabeled():
             got = edges(arrows, masks)
             assert got == edges(*complexes._adjacency(code, n)), (code, n)
             assert got == {(b, a) for a, b in got}, (code, n)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_node_masks_place_each_arrow_on_one_bit(n):
+    # leaving[t] & entering[h] is the one bit of arrow (t, h) in either
+    # arrow order, and empty for t = h: the one map from nodes to arrows
+    for order in (None, complexes._count_order(n)):
+        listed = order or arrows_of(n)
+        leaving, entering = complexes._node_masks(n, order)
+        for t in range(1, n + 2):
+            assert leaving[t] & entering[t] == 0, (n, order is None, t)
+            for h in range(1, n + 2):
+                if h != t:
+                    want = 1 << listed.index(Arrow(t, h))
+                    assert leaving[t] & entering[h] == want, (n, order is None, t, h)

@@ -6,11 +6,9 @@ from rootflags import axioms, complexes
 from rootflags.axioms import (
     BipartiteEnsemble,
     MultiplicityError,
-    all_support_matchings,
     check_linkage_axiom,
     check_permissible,
     check_support_axiom,
-    matching_faces,
     me_axioms,
     phi,
     phi_inverse,
@@ -107,27 +105,10 @@ def test_permissibility_forest_check_outcomes():
     assert check_permissible(rs, 5).passed
 
 
-def test_matching_faces_are_matchings():
-    for sigma in matching_faces(LEX, 3):
-        nodes = [x for a in sigma for x in a]
-        assert len(nodes) == len(set(nodes))
-
-
-def test_matching_faces_ignore_the_resource_cap(monkeypatch):
-    # like the axiom checks, matching_faces validates n but leaves the cap
-    # to its callers
-    monkeypatch.setenv("ROOTFLAGS_MAX_N", "2")
-    faces = list(matching_faces(LEX, 3))
-    assert frozenset({Arrow(1, 2), Arrow(3, 4)}) in faces
-    assert len(faces) == 12 + 6  # the 12 arrows, then one matching per T/H word
-    with pytest.raises(ValueError, match="ambient size must be >= 0"):
-        next(matching_faces(LEX, -1))
-
-
-def test_all_support_matchings_counts():
+def test_single_arrow_support_matchings():
     # hexagon: single-arrow matchings are unique trivially
-    assert len(all_support_matchings(LEX, [1], [2])) == 1
-    assert len(all_support_matchings(LEX, [2], [1])) == 1
+    assert support_matching(LEX, [1], [2]) == frozenset({Arrow(1, 2)})
+    assert support_matching(LEX, [2], [1]) == frozenset({Arrow(2, 1)})
 
 
 def test_me_axioms_k11():

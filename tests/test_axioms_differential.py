@@ -251,12 +251,6 @@ def test_gap_tables_are_the_edge_predicate(shared_pair_relation):
                 assert got == want, (rs.letters, length, a, t, h)
 
 
-@pytest.mark.parametrize("n", range(5))
-def test_matching_faces_match_filtered_enumeration(n):
-    for rs in CODES:
-        assert list(axioms.matching_faces(rs, n)) == list(brute.matching_faces(rs, n)), rs.letters
-
-
 @pytest.mark.parametrize("n", [5, pytest.param(6, marks=pytest.mark.slow)])
 def test_circuit_witnesses_match_oracle_all_witnesses(n):
     # the full witness listing of the circuit walk, from the least size
@@ -321,6 +315,16 @@ def shared_pair_relation(monkeypatch):
     monkeypatch.setattr(rules, "pair_relation", lru_cache(maxsize=None)(rules.pair_relation))
 
 
+def _support_matchings(rs, tails, heads):
+    """All matchings from I onto J as ``support_matching`` reports them: its
+    one matching, or the list its MultiplicityError carries."""
+    try:
+        return [axioms.support_matching(rs, tails, heads)]
+    except MultiplicityError as exc:
+        assert exc.count == len(exc.matchings) != 1
+        return list(exc.matchings)
+
+
 def test_support_matchings_match_oracle(shared_pair_relation):
     # n = 5 gives every disjoint (I, J) with |I| = |J| <= 3 on nodes 1..6,
     # so every T/H word of length <= 6 in every placement
@@ -328,16 +332,11 @@ def test_support_matchings_match_oracle(shared_pair_relation):
     assert len(pairs) == 140
     counts = set()
     for rs in CODES:
-        assert axioms.all_support_matchings(rs, [], []) == [frozenset()]
+        assert _support_matchings(rs, [], []) == [frozenset()]
         for tails, heads in pairs:
             want = brute.all_support_matchings(rs, tails, heads)
-            # support_matching returns all_support_matchings' one matching or
-            # raises with its list; the caller's node order does not matter
-            try:
-                got = [axioms.support_matching(rs, tails[::-1], heads)]
-            except MultiplicityError as exc:
-                assert exc.count == len(exc.matchings) != 1
-                got = list(exc.matchings)
+            # the caller's node order does not matter
+            got = _support_matchings(rs, tails[::-1], heads)
             assert got == want, (rs.letters, tails, heads)
             counts.add(len(want))
     # the unique case and both kinds of failure were compared
@@ -355,6 +354,7 @@ def test_word_matchings_match_oracle_on_every_word(shared_pair_relation):
                 tails, heads = _tails_heads(word)
                 want = brute.all_support_matchings(rs, tails, heads)
                 counts.add(len(want))
+                assert _support_matchings(rs, tails, heads) == want, (rs.letters, word)
                 for n in range(max(2 * k - 1, 0), 8):
                     got = axioms._word_matchings(n, adjacency(rs, n)[1], word)
                     assert all([t + 1 for t, _ in m] == tails for m in got)
@@ -374,9 +374,7 @@ def test_support_matchings_match_oracle_at_eight_tails(shared_pair_relation):
             nodes = rng.sample(range(1, 21), 16)
             tails, heads = sorted(nodes[:8]), sorted(nodes[8:])
             want = brute.all_support_matchings(rs, tails, heads)
-            assert axioms.all_support_matchings(rs, tails, heads) == want, (
-                rs.letters, tails, heads
-            )
+            assert _support_matchings(rs, tails, heads) == want, (rs.letters, tails, heads)
 
 
 def test_restriction_patterns_match_oracle(shared_pair_relation):

@@ -34,6 +34,7 @@ GOLDEN = Path(__file__).parent / "golden"
         ("series_check_z5.json", ["series", "check", "--zorder", "5", "--format", "json"]),
         ("verify_all_n7.json", ["verify", "--all", "--n", "7", "--format", "json"]),
         ("verify_all_n8.json", ["verify", "--all", "--n", "8", "--format", "json"]),
+        ("verify_all_n10.json", ["verify", "--all", "--n", "10", "--format", "json"]),
         (
             "verify_all_n6_all_witnesses.json",
             ["verify", "--all", "--n", "6", "--all-witnesses", "--format", "json"],

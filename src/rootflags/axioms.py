@@ -20,9 +20,9 @@ code.  Only a failing code lists witnesses: support relabels its first
 failing word (``_relabeled``), linkage places the least of the misses
 carried onto the code (``_first_failing_face``), and a code with a
 circuit, or a failing code asked for every linkage witness, walks its own
-faces by the clique walk of ``complexes._iter_cliques``.  The one map
-from nodes to arrows is ``complexes._node_masks``: arrow (t, h) is the
-one bit of leaving[t] & entering[h].
+faces by the clique walk of ``complexes._iter_cliques``, pruned by lazy
+core embeddings.  The one map from nodes to arrows is ``_node_masks`` of
+``complexes``: arrow (t, h) is the one bit of leaving[t] & entering[h].
 
 Bipartite objects live on K_{a,b} with left part 1..a and right part 1..b.
 The public functions take and return edges as plain (left, right) pairs and
@@ -209,6 +209,21 @@ WordTable = dict[str, list[tuple[tuple[int, int], ...]]]
 _SWAP = str.maketrans("TH", "HT")
 
 
+@lru_cache(maxsize=16)
+def _word_slots(n: int) -> tuple[tuple[tuple[str, int], ...], tuple[int, ...], int]:
+    """The code-free part of ``_word_table``: its words with their tail-bit
+    keys, the arrows at each 0-based position, and the walk's start mask."""
+    leaving, entering = _walk_tables(n)[:2]
+    top = (n + 1) // 2 * 2
+    words = tuple(
+        (word, sum(1 << p for p, letter in enumerate(word) if letter == "T") | 1 << len(word))
+        for k in range(1, top // 2 + 1) for word in _words(k)
+    )
+    incident = tuple(leaving[x] | entering[x] for x in range(1, top + 1))
+    start = reduce(or_, leaving[1 : top + 1], 0) & reduce(or_, entering[1 : top + 1], 0)
+    return words, incident, start
+
+
 @lru_cache(maxsize=30)
 def _word_table(code: int, n: int) -> WordTable:
     """Every T/H word of length at most n+1, in ``_words`` order, with its
@@ -222,17 +237,12 @@ def _word_table(code: int, n: int) -> WordTable:
     is then sorted into the order of ``_word_matchings``, that of the
     (tail, head) tuples.  The checks build it only for the least code of an
     orbit, so ``verify --all`` walks once per orbit; one (code, n) per
-    orbit is kept."""
+    orbit is kept, and the code-free parts once per n (``_word_slots``)."""
     masks = _adjacency(code, n)[1]
-    leaving, entering, positions, apart = _walk_tables(n)
-    top = (n + 1) // 2 * 2
-    table: WordTable = {word: [] for k in range(1, top // 2 + 1) for word in _words(k)}
-    # a word's list by its tail positions as bits, with a bit just above
-    found = {
-        sum(1 << p for p, letter in enumerate(word) if letter == "T") | 1 << len(word): matchings
-        for word, matchings in table.items()
-    }
-    incident = [leaving[x] | entering[x] for x in range(1, top + 1)]  # by 0-based position
+    positions, apart = _walk_tables(n)[2:]
+    words, incident, start = _word_slots(n)
+    top = len(incident)
+    found: dict[int, list[tuple[tuple[int, int], ...]]] = {key: [] for _, key in words}
     chosen: list[tuple[int, int]] = []
 
     def walk(covered: int, tails: int, cand: int) -> None:
@@ -252,10 +262,8 @@ def _word_table(code: int, n: int) -> WordTable:
             walk(covered | 1 << t | 1 << h, tails | 1 << t, cand & masks[v] & apart[v])
             chosen.pop()
 
-    walk(0, 0, reduce(or_, leaving[1 : top + 1], 0) & reduce(or_, entering[1 : top + 1], 0))
-    for matchings in table.values():
-        matchings.sort()
-    return table
+    walk(0, 0, start)
+    return {word: sorted(found[key]) for word, key in words}
 
 
 @lru_cache(maxsize=64)
@@ -528,7 +536,7 @@ def _circuit_cores(code: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]
     (tail, head) positions; by uniformity a core placed on any 2r nodes of
     V_n is a face, and every simple cycle of a face is such a placement.
     Words with fewer than two matchings, all words of a valid code, hold
-    no core.
+    no core.  No placement is listed; ``check_permissible`` embeds them.
     """
     masks = _adjacency(code, n)[1]
     leaving, entering = _walk_tables(n)[:2]  # (t, h) is leaving[t] & entering[h]
@@ -560,8 +568,8 @@ def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axiom
     for invalid codes.  Only then are the cores carried onto the code and
     its faces walked, in the order of ``enumerate_faces``, to report the
     first (or every) face with a circuit: a subtree is skipped when no
-    placed core lies inside its face and candidates together, asking only
-    the cores whose highest arrow is a candidate.
+    core, carried onto the code, embeds into its face and candidates: its
+    positions on increasing nodes, each arrow tested at its higher end.
     """
     check_ambient_size(n)
     least, swap, reverse = _orbit_relabel(rs.code)
@@ -569,21 +577,36 @@ def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axiom
     if not cores:
         return AxiomReport("permissible", True)
     arrows, masks = adjacency(rs, n)
-    leaving, entering = _walk_tables(n)[:2]
-    # the placed cores by their highest arrow: the prune is asked only about
-    # faces that are forests, so a core inside a face and its candidates
-    # has its highest arrow among the candidates
-    by_top: dict[int, list[int]] = {}
-    for core in cores:
-        core = _moved(core, len(core) - 1, swap, reverse)
-        for nodes in itertools.combinations(range(1, n + 2), len(core)):  # 2r arrows, 2r nodes
-            placed = sum(leaving[nodes[t]] & entering[nodes[h]] for t, h in core)
-            by_top.setdefault(placed.bit_length() - 1, []).append(placed)
-    tops = sum(1 << top for top in by_top)
+    positions = _walk_tables(n)[2]
+    # per shape, shortest first, and position, the arrows whose higher end
+    # it is, as (lower end, whether it is their tail); equal steps shared
+    plans, steps = [], {}
+    for shape in sorted({_moved(core, len(core) - 1, swap, reverse) for core in cores}, key=len):
+        plan = [()] * len(shape)
+        for t, h in shape:
+            plan[max(t, h)] += ((min(t, h), t > h),)
+        plans.append(tuple(steps.setdefault(step, step) for step in plan))
+
+    def embeds(plan: tuple, near: tuple[list[int], list[int]], nodes: list[int], p: int) -> bool:
+        free = (1 << n + 2 - len(plan) + p) - (2 << nodes[p - 1] if p else 1)
+        for o, tail in plan[p]:
+            free &= near[tail][nodes[o]]
+        while free:
+            low = free & -free
+            free ^= low
+            nodes[p] = low.bit_length() - 1
+            if p + 1 == len(plan) or embeds(plan, near, nodes, p + 1):
+                return True
+        return False
 
     def prune(face: int, cand: int) -> bool:
-        outside = ~(face | cand)
-        return any(not core & outside for top in _ones(cand & tops) for core in by_top[top])
+        # per 0-based node, its heads and its tails by the arrows in face | cand
+        near: tuple[list[int], list[int]] = ([0] * (n + 1), [0] * (n + 1))
+        for v in _ones(face | cand):
+            t, h = positions[v]
+            near[0][t] |= 1 << h
+            near[1][h] |= 1 << t
+        return any(embeds(plan, near, [0] * len(plan), 0) for plan in plans)
 
     witnesses = []
     for face, forest in _iter_cliques(arrows, masks, n, prune=prune):

@@ -12,12 +12,14 @@ included.  The same holds for the support matchings of one (I, J) and the
 matchings of one restriction pattern, which the library also reads off the
 masks.  ``has_circuit`` searches alternating cycles by a path DFS on the
 masks of ``edge_masks``; the library decides circuits per T/H word instead,
-from pairs of a word's matchings.  ``linkage_holds_on_words`` is the
-placement walk that decided linkage per word before the gap masks: every
-matching of a word placed around each outside node, with the AND of the
-other arrows' neighbour masks rebuilt per placement; it finds each placed
-arrow by its own index over ``arrows_of``, not by the library's per-node
-arrow masks.
+from pairs of a word's matchings.  ``placement_prune`` is the circuit prune
+that the library's lazy embedding replaced: every circuit core placed on
+every node set up front, in a table keyed by the placed core's highest
+arrow.  ``linkage_holds_on_words`` is the placement walk that decided
+linkage per word before the gap masks: every matching of a word placed
+around each outside node, with the AND of the other arrows' neighbour masks
+rebuilt per placement; it finds each placed arrow by its own index over
+``arrows_of``, not by the library's per-node arrow masks.
 
 The K_{a,b} layer is kept here on frozensets of (left, right) edges: the
 matching-ensemble axioms (closure, support and linkage, each by its
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from rootflags.axioms import (
     AxiomReport,
@@ -46,12 +48,16 @@ from rootflags.axioms import (
     Violation,
     _alternates,
     _arrow_json,
+    _circuit_cores,
     _disjoint_pairs,
     _edge_set,
     _matchings_in,
+    _moved,
     _ones,
+    _orbit_relabel,
     _spanning_trees,
     _stars,
+    _walk_tables,
     _word_table,
 )
 from rootflags.complexes import _adjacency
@@ -321,6 +327,31 @@ def linkage_holds_on_words(rs: RuleSet, n: int) -> bool:
                 if not all(_relinks(index, sigma, rests, k)):
                     return False
     return True
+
+
+def placement_prune(rs: RuleSet, n: int) -> Callable[[int, int], bool]:
+    """The circuit prune by a placement table, the one ``check_permissible``
+    used before its lazy embedding: every circuit core of the orbit's least
+    code, carried onto the code, placed on every set of its length of nodes
+    of V_n, kept by its highest arrow.  ``prune(face, cand)`` holds when a
+    placed core lies inside face | cand; the prune is asked only about
+    faces that are forests, so such a core has its highest arrow among the
+    candidates."""
+    least, swap, reverse = _orbit_relabel(rs.code)
+    leaving, entering = _walk_tables(n)[:2]
+    by_top: dict[int, list[int]] = {}
+    for core in _circuit_cores(least, n):
+        core = _moved(core, len(core) - 1, swap, reverse)
+        for nodes in itertools.combinations(range(1, n + 2), len(core)):  # 2r arrows, 2r nodes
+            placed = sum(leaving[nodes[t]] & entering[nodes[h]] for t, h in core)
+            by_top.setdefault(placed.bit_length() - 1, []).append(placed)
+    tops = sum(1 << top for top in by_top)
+
+    def prune(face: int, cand: int) -> bool:
+        outside = ~(face | cand)
+        return any(not core & outside for top in _ones(cand & tops) for core in by_top[top])
+
+    return prune
 
 
 def check_permissible(rs: RuleSet, n: int, all_witnesses: bool = False) -> AxiomReport:

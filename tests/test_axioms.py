@@ -258,6 +258,21 @@ def test_verify_all_walks_one_word_table_per_orbit(monkeypatch, count_calls):
     assert searches == []
 
 
+def test_verify_all_builds_the_code_free_word_slots_once(monkeypatch, count_calls):
+    # the words, their keys and the walk's node masks do not depend on the
+    # code: over all 64 codes they are built once, and the walk runs once
+    # per orbit; _word_slots lists the words of each length k once per build
+    n = 6
+    walks = _count_table_walks(monkeypatch)
+    fresh = lru_cache(maxsize=16)(axioms._word_slots.__wrapped__)
+    monkeypatch.setattr(axioms, "_word_slots", fresh)
+    lengths = count_calls(axioms, "_words")
+    for code in range(64):
+        axioms.verify(RuleSet.from_code(code), n)
+    assert lengths == [(1,), (2,), (3,)]
+    assert len(walks) == 30
+
+
 def test_passing_member_codes_read_their_orbit_verdicts(count_calls):
     # a code that is not its orbit's least and passes reads the verdicts of
     # the least code: it relabels no word and builds no masks of its own;

@@ -308,6 +308,30 @@ def test_circuit_prune_drops_only_circuit_free_subtrees(n, monkeypatch):
             assert brute.is_forest(a for v, a in enumerate(arrows) if face >> v & 1), rs.letters
 
 
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_lazy_circuit_prune_matches_placement_table(n, monkeypatch):
+    # on every call of the pruned walk, the lazy embedding of the core
+    # shapes answers as the table of every core placed on every node set
+    # that it replaced, and both answers occur
+    walk = axioms._iter_cliques
+    for rs in CIRCUIT_CODES:
+        oracle = brute.placement_prune(rs, n)
+        answers = set()
+
+        def spied(arrows, masks, n, prune):
+            def checked(face, cand):
+                got = prune(face, cand)
+                assert got == oracle(face, cand), (rs.letters, face, cand)
+                answers.add(got)
+                return got
+
+            return walk(arrows, masks, n, prune=checked)
+
+        monkeypatch.setattr(axioms, "_iter_cliques", spied)
+        axioms.check_permissible(rs, n, all_witnesses=True)
+        assert answers == {True, False}, rs.letters
+
+
 @pytest.fixture
 def shared_pair_relation(monkeypatch):
     # pair_relation is a pure function of the two arrows, so sharing its

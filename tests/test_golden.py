@@ -39,6 +39,12 @@ GOLDEN = Path(__file__).parent / "golden"
             "verify_all_n6_all_witnesses.json",
             ["verify", "--all", "--n", "6", "--all-witnesses", "--format", "json"],
         ),
+        # the first circuit witnesses above n = 10
+        pytest.param(
+            "verify_all_n12.json",
+            ["verify", "--all", "--n", "12", "--force", "--format", "json"],
+            marks=pytest.mark.slow,
+        ),
     ],
 )
 def test_cli_output_matches_snapshot(capsys, snapshot, argv):

@@ -6,6 +6,8 @@ support/linkage axiom verification, constructive support matchings, and
 refined face enumeration checked against exact generating functions.
 """
 
+from types import ModuleType as _ModuleType
+
 from .rules import (
     ALIASES,
     Arrow,
@@ -60,5 +62,10 @@ from .matchings import (
     th_word,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the package's own imports also bind its submodules, which are not exported
+__all__ = [
+    name
+    for name, value in vars().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]
 __version__ = "0.1.0"

@@ -46,7 +46,7 @@ from ._record import Record
 from .complexes import _adjacency, _code_rows, _count_order, _iter_cliques, _model_cases
 from .complexes import _node_masks, _pair_classes
 from .complexes import adjacency, check_ambient_size
-from .matchings import _trace, th_word
+from .matchings import _balanced_trace, _moved, _source, _trace
 from .rules import Arrow, RuleSet, orbit_of
 
 Matching = frozenset[Arrow]
@@ -128,18 +128,16 @@ def support_matching(
     """The unique matching face from I onto J, solved by uniformity on the
     T/H word they trace and relabeled; raises MultiplicityError carrying all
     matchings found (in ``_word_matchings`` order) when there is not one."""
-    word = th_word(tails, heads)
-    nodes = word.positions
+    nodes, word = _balanced_trace(tails, heads)
     n = max(len(nodes) - 1, 0)
     found = [
         frozenset(Arrow(nodes[t], nodes[h]) for t, h in matching)
-        for matching in _word_matchings(n, adjacency(rs, n)[1], word.letters)
+        for matching in _word_matchings(n, adjacency(rs, n)[1], word)
     ]
     if len(found) != 1:
-        annotated = word.annotated()
         raise MultiplicityError(
-            [x for x, letter in annotated if letter == "T"],
-            [x for x, letter in annotated if letter == "H"],
+            [x for x, letter in zip(nodes, word) if letter == "T"],
+            [x for x, letter in zip(nodes, word) if letter == "H"],
             found,
         )
     return found[0]
@@ -205,9 +203,6 @@ def _word_matchings(
 
 
 WordTable = dict[str, list[tuple[tuple[int, int], ...]]]
-
-_SWAP = str.maketrans("TH", "HT")
-
 
 @lru_cache(maxsize=16)
 def _word_slots(n: int) -> tuple[tuple[tuple[str, int], ...], tuple[int, ...], int]:
@@ -279,24 +274,6 @@ def _orbit_relabel(code: int) -> tuple[int, bool, bool]:
         (False, True): least.dual().reflected_dual(),
     }
     return least.code, *next(key for key, image in images.items() if image.code == code)
-
-
-def _moved(
-    pairs: Iterable[tuple[int, int]], last: int, swap: bool, reverse: bool
-) -> tuple[tuple[int, int], ...]:
-    """(tail, head) positions on a word carried by a symmetry, sorted: dual
-    maps (t, h) to (h, t), reversal to (last-t, last-h)."""
-    if swap:
-        pairs = [(h, t) for t, h in pairs]
-    if reverse:
-        pairs = [(last - t, last - h) for t, h in pairs]
-    return tuple(sorted(pairs))
-
-
-def _source(word: str, swap: bool, reverse: bool) -> str:
-    """The word of the orbit's least code that the symmetry carries onto word."""
-    word = word.translate(_SWAP) if swap else word
-    return word[::-1] if reverse else word
 
 
 @lru_cache(maxsize=1024)
@@ -910,7 +887,7 @@ def phi_inverse(ensemble: BipartiteEnsemble) -> frozenset[EdgeSet]:
 
 
 @lru_cache(maxsize=4096)
-def _pattern_arrows(pattern: tuple[str, ...]) -> tuple[int, int, int, tuple[int, ...], int]:
+def _pattern_arrows(pattern: Sequence[str]) -> tuple[int, int, int, tuple[int, ...], int]:
     """The part of a restriction that does not depend on the code: n, |I|,
     |J|, the count-order indices of the arrows from the pattern's tail
     positions to its head positions, tails in order, and their mask."""
@@ -922,7 +899,7 @@ def _pattern_arrows(pattern: tuple[str, ...]) -> tuple[int, int, int, tuple[int,
     return n, len(tails), len(heads), arrows, sum(1 << v for v in arrows)
 
 
-def _restriction_by_pattern(code: int, pattern: tuple[str, ...]) -> frozenset[int]:
+def _restriction_by_pattern(code: int, pattern: Sequence[str]) -> frozenset[int]:
     """Relabeled matchings of a rule set within I x J, as edge masks of
     K_{|I|,|J|}, keyed by the tail/head pattern of sorted(I + J); uniformity
     makes the node labels irrelevant.  They are the matching faces among the

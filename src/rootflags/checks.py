@@ -627,7 +627,7 @@ def check_matching_ensembles(zorder: int) -> CheckResult:
         nodes = range(1, a + b + 1)
         for tails in itertools.combinations(nodes, a):
             heads = tuple(x for x in nodes if x not in tails)
-            patterns.append((a, b, tails, heads, tuple("TH"[x in heads] for x in nodes)))
+            patterns.append((a, b, tails, heads, "".join("TH"[x in heads] for x in nodes)))
     bad = []
     seen: set = set()
     for rs in valid_rulesets():

@@ -1,19 +1,26 @@
 """Explicit support matchings built from lattice-path factorizations.
 
-For disjoint equal-size node sets I (tails) and J (heads), reading the
-members of I as up steps and of J as down steps gives a lattice path.  Each
-valid rule class admits an explicit construction of the unique matching
-face from I onto J in terms of this path: the lex class matches above-axis
-and below-axis runs separately, the revlex class matches across the
-midpoint, and the Simion classes peel off the forward arrows at the marked
-extreme steps of the path and match the rest as backward arrows.  Every
-construction here is validated in the tests against the exhaustive
-unique matching.
+For disjoint equal-size node sets I (tails) and J (heads), the sorted nodes
+of I + J spell a T/H word, T for a member of I and H for one of J, and read
+as up and down steps the word is a lattice path.  By uniformity the unique
+matching face from I onto J depends only on that word, so each valid rule
+class builds it on the word's positions, as (tail position, head position)
+pairs, and ``construct_matching`` places them on the nodes, building each
+arrow once.  The lex class matches above-axis and below-axis arches
+separately, the revlex class matches across the midpoint, and the Simion
+classes peel off the forward arrows at the marked extreme steps of the
+path and match the rest as backward arrows.  The Simion construction is
+written for one orientation; the others reach it through the symmetry map
+that the axiom checks' word tables use: ``_source`` takes the word to the
+one the construction solves (T and H swap for the arrow reversal, and the
+word also reverses for the reflected dual) and ``_moved`` carries its pairs
+back.  Every construction is compared in the tests with the exhaustive
+unique matching on every word of length at most 10.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._record import Record
 from .rules import (
@@ -30,8 +37,8 @@ from .rules import (
 
 Matching = frozenset[Arrow]
 
-#: Annotated letter: (node label, "T" or "H").
-Letter = tuple[int, str]
+#: (tail position, head position) pairs on the letters of a word.
+Pairs = Sequence[tuple[int, int]]
 
 
 class THWord(Record):
@@ -53,20 +60,9 @@ class THWord(Record):
             raise ValueError(f"positions must strictly increase, got {positions}")
         self.__dict__.update(positions=positions, letters=letters)
 
-    @classmethod
-    def _of(cls, positions: tuple[int, ...], letters: tuple[str, ...]) -> "THWord":
-        """The word of positions and letters that are already known to be
-        valid, as ``th_word`` and the Simion relabelings make them."""
-        self = object.__new__(cls)
-        self.__dict__.update(positions=positions, letters=letters)
-        return self
-
     @property
     def word(self) -> str:
         return "".join(self.letters)
-
-    def annotated(self) -> list[Letter]:
-        return list(zip(self.positions, self.letters))
 
     def levels(self) -> list[int]:
         """Running path heights after each step (T = +1, H = -1)."""
@@ -78,25 +74,31 @@ class THWord(Record):
         return out
 
 
-def _trace(
-    tails: Sequence[int], heads: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[str, ...]]:
+def _trace(tails: Sequence[int], heads: Sequence[int]) -> tuple[tuple[int, ...], str]:
     """I and J, each parsed once and checked disjoint, as the sorted nodes
-    of I + J and the letter T or H of each."""
+    of I + J and their word, one letter per node: T for I, H for J."""
     tails = parse_nodes(tails)
     heads = parse_nodes(heads)
     tail_set = set(tails)
     if not tail_set.isdisjoint(heads):
         raise ValueError("tail and head sets must be disjoint")
     nodes = tuple(sorted(tails + heads))
-    return nodes, tuple("T" if x in tail_set else "H" for x in nodes)
+    return nodes, "".join(["T" if x in tail_set else "H" for x in nodes])
+
+
+def _balanced_trace(tails: Sequence[int], heads: Sequence[int]) -> tuple[tuple[int, ...], str]:
+    """``_trace`` of equally many tails and heads."""
+    nodes, word = _trace(tails, heads)
+    if 2 * word.count("T") != len(word):
+        raise ValueError("tail and head sets must have equal size")
+    return nodes, word
 
 
 def th_word(tails: Sequence[int], heads: Sequence[int]) -> THWord:
-    nodes, letters = _trace(tails, heads)
-    if 2 * letters.count("T") != len(letters):
-        raise ValueError("tail and head sets must have equal size")
-    return THWord._of(nodes, letters)
+    nodes, letters = _balanced_trace(tails, heads)
+    word = object.__new__(THWord)  # sorted, distinct nodes and a balanced word
+    word.__dict__.update(positions=nodes, letters=tuple(letters))
+    return word
 
 
 LOWER_DYCK = "lower"
@@ -118,57 +120,61 @@ def dyck_classify(word: THWord) -> str:
     return NEITHER
 
 
-def _match_open_close(
-    seq: Sequence[Letter], open_letter: str, rule: str
+_SWAP = str.maketrans("TH", "HT")
+
+
+def _source(word: str, swap: bool, reverse: bool) -> str:
+    """The word that a symmetry carries onto word: the arrow reversal swaps
+    T and H, and the node reflection reverses the word."""
+    word = word.translate(_SWAP) if swap else word
+    return word[::-1] if reverse else word
+
+
+def _moved(
+    pairs: Iterable[tuple[int, int]], last: int, swap: bool, reverse: bool
+) -> tuple[tuple[int, int], ...]:
+    """(tail, head) positions on a word carried by a symmetry, sorted: dual
+    maps (t, h) to (h, t), reversal to (last-t, last-h)."""
+    if swap:
+        pairs = [(h, t) for t, h in pairs]
+    if reverse:
+        pairs = [(last - t, last - h) for t, h in pairs]
+    return tuple(sorted(pairs))
+
+
+def _arches(
+    word: Sequence[str], seq: Sequence[int], open_letter: str, rule: str
 ) -> list[tuple[int, int]]:
-    """Pair each open letter with a close letter: parenthesis matching for
-    the nesting rule, k-th open to k-th close for the crossing rule.
-    Returns (open position, close position) pairs."""
-    opens = [pos for pos, letter in seq if letter == open_letter]
-    closes = [pos for pos, letter in seq if letter != open_letter]
+    """Pair the positions in seq holding open_letter with those holding the
+    other letter, as (tail, head) positions: parenthesis matching under the
+    nesting rule, k-th open to k-th close under the crossing rule."""
     if rule == CROSS:
-        return list(zip(opens, closes))
-    pairs = []
-    stack: list[int] = []
-    for pos, letter in seq:
-        if letter == open_letter:
-            stack.append(pos)
-        else:
-            if not stack:
-                raise ValueError(f"unbalanced sequence at node {pos}")
-            pairs.append((stack.pop(), pos))
-    if stack:
-        raise ValueError("unbalanced sequence")
-    return pairs
+        opens = [p for p in seq if word[p] == open_letter]
+        pairs = zip(opens, [p for p in seq if word[p] != open_letter])
+    else:
+        pairs, stack = [], []
+        for p in seq:
+            if word[p] == open_letter:
+                stack.append(p)
+            else:
+                pairs.append((stack.pop(), p))
+    return list(pairs) if open_letter == "T" else [(t, h) for h, t in pairs]
 
 
-def _lower_dyck_matching(hhtt_rule: str, seq: Sequence[Letter]) -> Matching:
-    """Backward-only matching of a lower Dyck letter sequence.
-
-    Nesting rule: each head is matched to the tail making the first return
-    to the same level (parenthesis matching with H open).  Crossing rule:
-    k-th head to k-th tail in left-to-right order.
-    """
-    if hhtt_rule not in (NEST, CROSS):
-        raise ValueError(f"HHTT rule must be nest or cross, got {hhtt_rule!r}")
-    pairs = _match_open_close(seq, "H", hhtt_rule)
-    return frozenset(Arrow(tail, head) for head, tail in pairs)
-
-
-def _upper_dyck_matching(tthh_rule: str, seq: Sequence[Letter]) -> Matching:
-    """Forward-only matching of an upper Dyck letter sequence (mirror of the
-    backward case with T open and the TTHH rule deciding)."""
-    if tthh_rule not in (NEST, CROSS):
-        raise ValueError(f"TTHH rule must be nest or cross, got {tthh_rule!r}")
-    pairs = _match_open_close(seq, "T", tthh_rule)
-    return frozenset(Arrow(tail, head) for tail, head in pairs)
+def _placed(nodes: Sequence[int], pairs: Pairs) -> Matching:
+    """The matching of the pairs on a word whose letters sit on the nodes."""
+    return frozenset([Arrow(nodes[t], nodes[h]) for t, h in pairs])
 
 
 def canonical_backward_matching(hhtt_rule: str, word: THWord) -> Matching:
-    """The unique backward-only matching of a lower Dyck word."""
+    """The unique backward-only matching of a lower Dyck word: under the
+    nesting rule each head is matched to the tail making the first return
+    to its level, under the crossing rule the k-th head to the k-th tail."""
     if dyck_classify(word) not in (LOWER_DYCK, BOTH_EMPTY):
         raise ValueError(f"not a lower Dyck word: {word.word}")
-    return _lower_dyck_matching(hhtt_rule, word.annotated())
+    if hhtt_rule not in (NEST, CROSS):
+        raise ValueError(f"HHTT rule must be nest or cross, got {hhtt_rule!r}")
+    return _placed(word.positions, _arches(word.letters, range(len(word.letters)), "H", hhtt_rule))
 
 
 def canonical_forward_matching(tthh_rule: str, word: THWord) -> Matching:
@@ -179,156 +185,102 @@ def canonical_forward_matching(tthh_rule: str, word: THWord) -> Matching:
     first_head = letters.find("H")
     if first_head != -1 and "T" in letters[first_head:]:
         raise ValueError(f"every tail must precede every head: {letters}")
-    return _upper_dyck_matching(tthh_rule, word.annotated())
+    if tthh_rule not in (NEST, CROSS):
+        raise ValueError(f"TTHH rule must be nest or cross, got {tthh_rule!r}")
+    return _placed(word.positions, _arches(letters, range(len(letters)), "T", tthh_rule))
 
 
-def _first_ascent_marks(word: THWord) -> list[int]:
-    """Indices of the up steps reaching a new maximum level (one per level
-    1..h, where h is the path maximum)."""
-    marks = []
-    level = 0
-    best = 0
-    for idx, letter in enumerate(word.letters):
-        level += 1 if letter == "T" else -1
-        if letter == "T" and level > best:
-            best = level
-            marks.append(idx)
-    return marks
-
-
-def _last_descent_marks(word: THWord) -> list[int]:
-    """Indices of the down steps from a level the path never reaches again
-    (one per level h..1)."""
-    levels = word.levels()
-    marks = []
-    suffix_max = -(10**9)
-    for idx in range(len(word.letters) - 1, -1, -1):
-        pre = levels[idx - 1] if idx else 0
-        if word.letters[idx] == "H" and pre > 0 and max(levels[idx], suffix_max) < pre:
-            marks.append(idx)
-        suffix_max = max(suffix_max, levels[idx])
-    marks.reverse()
-    return marks
-
-
-def _first_tails(word: THWord, h: int) -> list[int]:
-    return [idx for idx, letter in enumerate(word.letters) if letter == "T"][:h]
-
-
-def _last_heads(word: THWord, h: int) -> list[int]:
-    heads = [idx for idx, letter in enumerate(word.letters) if letter == "H"]
-    return heads[len(heads) - h:]
-
-
-def _simion_matching(rs: RuleSet, word: THWord) -> Matching:
+def _simion_matching(rs: RuleSet, word: str) -> Pairs:
     """Simion-class construction for the orientation in which THTH nests.
 
     The number of forward arrows equals the maximum height h of the path.
     Their tails are the first h tails when HTTH crosses and the first
-    ascents otherwise; their heads are the last h heads when THHT crosses
-    and the last descents otherwise.  The unmarked letters form a lower
-    Dyck word matched backward by the HHTT rule.
+    ascents to the levels 1..h otherwise; their heads are the last h heads
+    when THHT crosses and the last descents from the levels h..1
+    otherwise.  The marked letters are matched forward by the TTHH rule;
+    the unmarked ones form a lower Dyck word, matched backward by the HHTT
+    rule.
     """
-    levels = word.levels()
-    h = max(levels, default=0)
-    if h <= 0:
-        return _lower_dyck_matching(rs.hhtt, word.annotated())
-
-    tail_marks = (
-        _first_tails(word, h) if rs.htth == CROSS else _first_ascent_marks(word)
-    )
-    head_marks = (
-        _last_heads(word, h) if rs.thht == CROSS else _last_descent_marks(word)
-    )
-    if len(tail_marks) != h or len(head_marks) != h:
-        raise AssertionError("mark counts must equal the path maximum")
-
-    annotated = word.annotated()
-    marked = [annotated[idx] for idx in sorted(tail_marks + head_marks)]
-    forward = _upper_dyck_matching(rs.tthh, marked)
-
-    rest_idx = set(range(len(annotated))) - set(tail_marks) - set(head_marks)
-    rest = [annotated[idx] for idx in sorted(rest_idx)]
-    level = 0
-    for _pos, letter in rest:
-        level += 1 if letter == "T" else -1
-        if level > 0:
-            raise AssertionError("unmarked letters must form a lower Dyck word")
-    backward = _lower_dyck_matching(rs.hhtt, rest)
-    return forward | backward
+    level = height = 0
+    ascents: list[int] = []
+    descents: dict[int, int] = {}  # level -> the last down step from it
+    for p, letter in enumerate(word):
+        if letter == "T":
+            level += 1
+            if level > height:
+                height = level
+                ascents.append(p)
+        else:
+            descents[level] = p
+            level -= 1
+    if rs.htth == CROSS:
+        ascents = [p for p, letter in enumerate(word) if letter == "T"][:height]
+    if rs.thht == CROSS:
+        last = [p for p, letter in enumerate(word) if letter == "H"][len(word) // 2 - height :]
+    else:
+        last = [descents[x] for x in range(height, 0, -1)]
+    marked = sorted(ascents + last)
+    rest = sorted(set(range(len(word))).difference(marked))
+    return _arches(word, marked, "T", rs.tthh) + _arches(word, rest, "H", rs.hhtt)
 
 
-def _lex_matching(rs: RuleSet, word: THWord) -> Matching:
+def _lex_matching(rs: RuleSet, word: str) -> Pairs:
     """Lex-class construction: letters on above-axis arches are matched
     forward by the TTHH rule, letters on below-axis arches backward by the
     HHTT rule."""
-    above: list[Letter] = []
-    below: list[Letter] = []
+    above, below = [], []
     level = 0
-    for pos, letter in word.annotated():
-        nxt = level + (1 if letter == "T" else -1)
-        (above if level + nxt > 0 else below).append((pos, letter))
-        level = nxt
-    return _upper_dyck_matching(rs.tthh, above) | _lower_dyck_matching(rs.hhtt, below)
+    for p, letter in enumerate(word):
+        step = 1 if letter == "T" else -1
+        (above if 2 * level + step > 0 else below).append(p)
+        level += step
+    return _arches(word, above, "T", rs.tthh) + _arches(word, below, "H", rs.hhtt)
 
 
-def _revlex_matching(rs: RuleSet, word: THWord) -> Matching:
+def _revlex_matching(rs: RuleSet, word: str) -> Pairs:
     """Revlex-class construction: every arrow arches over the midpoint.
     Left tails pair with right heads by the TTHH rule; left heads pair
     with right tails by the HHTT rule."""
-    annotated = word.annotated()
-    mid = len(annotated) // 2
-    forward = [x for x in annotated[:mid] if x[1] == "T"]
-    forward += [x for x in annotated[mid:] if x[1] == "H"]
-    backward = [x for x in annotated[:mid] if x[1] == "H"]
-    backward += [x for x in annotated[mid:] if x[1] == "T"]
-    return _upper_dyck_matching(rs.tthh, forward) | _lower_dyck_matching(
-        rs.hhtt, backward
-    )
+    mid = len(word) // 2
+    left, right = range(mid), range(mid, len(word))
+    forward = [p for p in left if word[p] == "T"] + [p for p in right if word[p] == "H"]
+    backward = [p for p in left if word[p] == "H"] + [p for p in right if word[p] == "T"]
+    return _arches(word, forward, "T", rs.tthh) + _arches(word, backward, "H", rs.hhtt)
 
 
-_SWAP = {"T": "H", "H": "T"}
-
-
-def _oriented_simion_matching(rs: RuleSet, word: THWord) -> Matching:
+def _oriented_simion_matching(rs: RuleSet, word: str) -> Pairs:
     """The Simion construction in the orientation it is written for, reached
-    through the arrow-reversal involution (the word's letters swap) and the
-    reflected dual (the word is reflected, reversed and its letters swap)."""
+    one symmetry at a time: the arrow reversal when THTH does not nest, the
+    reflected dual when only THHT crosses."""
     if rs.thth == NONEST:
-        dual = THWord._of(word.positions, tuple(_SWAP[x] for x in word.letters))
-        return frozenset(a.reversed() for a in _oriented_simion_matching(rs.dual(), dual))
-    if rs.thht == CROSS and rs.htth == NONCROSS:
-        ends = word.positions[0] + word.positions[-1]
-        mirrored = THWord._of(
-            tuple(ends - x for x in reversed(word.positions)),
-            tuple(_SWAP[x] for x in reversed(word.letters)),
-        )
-        return frozenset(
-            Arrow(ends - a.head, ends - a.tail)
-            for a in _oriented_simion_matching(rs.reflected_dual(), mirrored)
-        )
-    return _simion_matching(rs, word)
+        swap, reverse, image = True, False, rs.dual()
+    elif rs.thht == CROSS and rs.htth == NONCROSS:
+        swap, reverse, image = True, True, rs.reflected_dual()
+    else:
+        return _simion_matching(rs, word)
+    pairs = _oriented_simion_matching(image, _source(word, swap, reverse))
+    return _moved(pairs, len(word) - 1, swap, reverse)
 
 
 def construct_matching(
     rs: RuleSet, tails: Sequence[int], heads: Sequence[int]
 ) -> Matching:
-    """The unique matching face from I onto J, built constructively.
+    """The unique matching face from I onto J, built constructively on the
+    word of I and J and placed on their nodes.
 
     Dispatches on the class of the rule set.  The Simion construction is
     written for the orientation where THTH nests and the THHT/HTTH variant
-    where HTTH crosses; the other orientation goes through the
-    arrow-reversal involution and the mirrored variant through the
-    reflected dual plus a node reflection.
+    where HTTH crosses; the other orientations go through the arrow
+    reversal and the reflected dual of the word (``_oriented_simion_matching``).
     """
     label = classify(rs)
     if label is ClassLabel.INVALID:
         raise ValueError(f"rule set {rs} does not define a triangulation")
-    word = th_word(tails, heads)
-    if not word.positions:
-        return frozenset()
+    nodes, word = _balanced_trace(tails, heads)
     if label is ClassLabel.LEX:
-        return _lex_matching(rs, word)
-    if label is ClassLabel.REVLEX:
-        return _revlex_matching(rs, word)
-    return _oriented_simion_matching(rs, word)
+        pairs = _lex_matching(rs, word)
+    elif label is ClassLabel.REVLEX:
+        pairs = _revlex_matching(rs, word)
+    else:
+        pairs = _oriented_simion_matching(rs, word)
+    return _placed(nodes, pairs)

@@ -1,10 +1,13 @@
-"""Shared fixtures, among them walk oracles cached for the whole session:
-the end tally behind the role counts and the ``Face`` lists."""
+"""Shared fixtures, among them oracles cached for the whole session: the
+end tally behind the role counts, the ``Face`` lists and the reports of the
+brute-force axiom checks."""
 
 from functools import lru_cache
 
 import pytest
 
+import brute_axioms
+from rootflags import rules
 from rootflags.complexes import _adjacency, _count_order, enumerate_faces
 from rootflags.rules import RuleSet
 
@@ -75,3 +78,23 @@ def faces():
         lambda code, n: tuple(enumerate_faces(RuleSet.from_code(code), n))
     )
     return lambda rs, n: walked(rs.code, n)
+
+
+@pytest.fixture(scope="session")
+def axiom_oracle():
+    """``axiom_oracle(check, rs, n, all_witnesses=False)``: the report of
+    the ``brute_axioms`` check named check, computed once per session for
+    each (check, code, n, all_witnesses).  ``pair_relation`` is a pure
+    function of the two arrows, so the checks share its answers across the
+    codes, and every ``is_edge`` answer stays as it is."""
+    relation = lru_cache(maxsize=None)(rules.pair_relation)
+
+    @lru_cache(maxsize=None)
+    def report(check: str, code: int, n: int, all_witnesses: bool):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rules, "pair_relation", relation)
+            patch.setattr(brute_axioms, "pair_relation", relation)
+            rs = RuleSet.from_code(code)
+            return getattr(brute_axioms, check)(rs, n, all_witnesses=all_witnesses)
+
+    return lambda check, rs, n, all_witnesses=False: report(check, rs.code, n, all_witnesses)

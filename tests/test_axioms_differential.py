@@ -89,22 +89,22 @@ def test_adjacency_masks_are_the_edge_predicate(n):
 
 
 @pytest.mark.parametrize("n", range(5))
-def test_reports_match_oracle_all_witnesses(n):
+def test_reports_match_oracle_all_witnesses(axiom_oracle, n):
     for rs in CODES:
         for name in CHECKS:
-            want = getattr(brute, name)(rs, n, all_witnesses=True)
+            want = axiom_oracle(name, rs, n, all_witnesses=True)
             got = getattr(axioms, name)(rs, n, all_witnesses=True)
             assert got.to_json_dict() == want.to_json_dict(), (rs.letters, name)
             first = getattr(axioms, name)(rs, n)
             assert first.to_json_dict() == _first_witness(want).to_json_dict(), (rs.letters, name)
 
 
-def test_reports_match_oracle_first_witness_n5():
+def test_reports_match_oracle_first_witness_n5(axiom_oracle):
     n = 5
     failed = dict.fromkeys(CHECKS, 0)
     circuits = 0
     for rs in CODES:
-        wants = {name: getattr(brute, name)(rs, n) for name in CHECKS}
+        wants = {name: axiom_oracle(name, rs, n) for name in CHECKS}
         for name, want in wants.items():
             got = getattr(axioms, name)(rs, n)
             assert got.to_json_dict() == want.to_json_dict(), (rs.letters, name)
@@ -207,11 +207,11 @@ def test_linkage_gap_masks_match_placement_walk(n):
 
 
 @pytest.mark.slow
-def test_linkage_witnesses_match_oracle_n6():
+def test_linkage_witnesses_match_oracle_n6(axiom_oracle):
     # every linkage witness, in order, read off the gap masks of each face;
     # the tier-1 comparison stops at n = 5 with the first witness
     for rs in CODES:
-        want = brute.check_linkage_axiom(rs, 6, all_witnesses=True)
+        want = axiom_oracle("check_linkage_axiom", rs, 6, all_witnesses=True)
         got = axioms.check_linkage_axiom(rs, 6, all_witnesses=True)
         assert got.to_json_dict() == want.to_json_dict(), rs.letters
 
@@ -252,12 +252,12 @@ def test_gap_tables_are_the_edge_predicate(shared_pair_relation):
 
 
 @pytest.mark.parametrize("n", [5, pytest.param(6, marks=pytest.mark.slow)])
-def test_circuit_witnesses_match_oracle_all_witnesses(n):
+def test_circuit_witnesses_match_oracle_all_witnesses(axiom_oracle, n):
     # the full witness listing of the circuit walk, from the least size
     # with circuits; n = 6 has 19-42 witnesses per code
     assert [rs for rs in CODES if _has_circuit(rs, n)] == CIRCUIT_CODES
     for rs in CIRCUIT_CODES:
-        want = brute.check_permissible(rs, n, all_witnesses=True)
+        want = axiom_oracle("check_permissible", rs, n, all_witnesses=True)
         got = axioms.check_permissible(rs, n, all_witnesses=True)
         assert want.witnesses
         assert got.to_json_dict() == want.to_json_dict(), rs.letters

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -128,6 +129,28 @@ def test_construct_equals_support_matching_up_to_twelve_tails():
                 assert construct_matching(rs, tails, heads) == support_matching(
                     rs, tails, heads
                 ), (name, tails, heads)
+
+
+def test_construct_equals_support_matching_on_every_word_up_to_length_ten():
+    # every T/H word with k = 1..5 tails placed on nodes 1..2k, for each of
+    # the 34 valid codes; the 30 invalid codes are refused
+    words = [
+        (tails, tuple(x for x in range(1, 2 * k + 1) if x not in tails))
+        for k in range(1, 6)
+        for tails in itertools.combinations(range(1, 2 * k + 1), k)
+    ]
+    assert len(words) == 2 + 6 + 20 + 70 + 252
+    for code in range(64):
+        rs = RuleSet.from_code(code)
+        if rs not in VALID:
+            with pytest.raises(ValueError, match="does not define a triangulation"):
+                construct_matching(rs, [1], [2])
+            continue
+        for tails, heads in words:
+            assert construct_matching(rs, tails, heads) == support_matching(
+                rs, tails, heads
+            ), (rs.letters, tails, heads)
+    assert len(VALID) == 34
 
 
 @pytest.mark.parametrize(

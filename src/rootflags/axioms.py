@@ -16,12 +16,13 @@ over each matching (``_gap_cover``) and keeps the matchings that miss a
 gap.  Dual swaps T and H in every word and reflected dual also reverses
 it, so both carry a code's table exactly onto the other codes of its
 orbit, and each verdict is decided once per orbit, on the orbit's least
-code.  Only a failing code lists witnesses: support relabels its first
-failing word (``_relabeled``), linkage places the least of the misses
-carried onto the code (``_first_failing_face``), and a code with a
-circuit, or a failing code asked for every linkage witness, walks its own
-faces by the clique walk of ``complexes._iter_cliques``, pruned by lazy
-core embeddings.  The one map from nodes to arrows is ``_node_masks`` of
+code.  Only a failing code lists witnesses, each support and linkage one
+a placement of what the least code's tables hold: support places its
+failing words, relabeled onto the code (``_relabeled``), and linkage the
+misses carried onto the code, the first at their least placement
+(``_first_failing_face``); a code with a circuit walks its own faces by
+the clique walk of ``complexes._iter_cliques``, pruned by lazy core
+embeddings.  The one map from nodes to arrows is ``_node_masks`` of
 ``complexes``: arrow (t, h) is the one bit of leaving[t] & entering[h].
 
 Bipartite objects live on K_{a,b} with left part 1..a and right part 1..b.
@@ -141,17 +142,6 @@ def support_matching(
             found,
         )
     return found[0]
-
-
-def _disjoint_pairs(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All ordered pairs of disjoint nonempty equal-size subsets of 1..n+1,
-    in (|I|, I, J) order."""
-    nodes = range(1, n + 2)
-    for k in range(1, (n + 1) // 2 + 1):
-        for tails in itertools.combinations(nodes, k):
-            rest = [x for x in nodes if x not in tails]
-            for heads in itertools.combinations(rest, k):
-                yield tails, heads
 
 
 def _words(k: int) -> Iterator[str]:
@@ -296,42 +286,32 @@ def check_support_axiom(
     By uniformity the matchings depend only on the T/H word that I and J
     trace on the number line, so each word is solved once per orbit
     (``_word_table``), and a symmetry carries the words with one matching
-    onto those of the other members.  The first witness in (|I|, I, J)
-    order is the code's first failing word (shortest, then least tail
-    positions) placed on nodes 1..2k: any other placement of any failing
-    word raises every node, so its (I, J) comes later.  Only for all
-    witnesses are the (I, J) pairs walked, in order; the failing words'
-    matchings are relabeled onto the code (``_relabeled``) and placed.
+    onto those of the other members.  Every witness is a failing word
+    placed on some nodes of V_n, with its matchings relabeled onto the code
+    (``_relabeled``) and placed.  The first witness in (|I|, I, J) order is
+    the code's first failing word (shortest, then least tail positions)
+    placed on nodes 1..2k: any other placement of any failing word raises
+    every node, so its (I, J) comes later.  For all witnesses every failing
+    word takes every placement on 1..n+1, sorted into (|I|, I, J) order.
     """
     check_ambient_size(n)
     least, swap, reverse = _orbit_relabel(rs.code)
     solved = _word_table(least, n)
     if all(len(matchings) == 1 for matchings in solved.values()):
         return AxiomReport("support", True)
-    if all_witnesses:
-        pairs = _disjoint_pairs(n)
-    else:  # the first failing word on nodes 1..2k
-        failing = next(w for w in solved if len(solved[_source(w, swap, reverse)]) != 1)
-        tails = tuple(p for p, letter in enumerate(failing, 1) if letter == "T")
-        heads = tuple(p for p, letter in enumerate(failing, 1) if letter == "H")
-        pairs = [(tails, heads)]
+    failing = (w for w in solved if len(solved[_source(w, swap, reverse)]) != 1)
+    words = list(failing) if all_witnesses else [next(failing)]
+    top = n + 1 if all_witnesses else len(words[0])  # or one placement, on nodes 1..2k
     witnesses = []
-    for tails, heads in pairs:
-        nodes = sorted(tails + heads)
-        word = "".join("T" if x in tails else "H" for x in nodes)
-        if len(solved[_source(word, swap, reverse)]) != 1:
-            matchings = _relabeled(rs.code, n, word)
-            witnesses.append(
-                Violation(
-                    "support",
-                    {
-                        "I": list(tails),
-                        "J": list(heads),
-                        "count": len(matchings),
-                        "matchings": [[[nodes[t], nodes[h]] for t, h in m] for m in matchings],
-                    },
-                )
-            )
+    for word in words:
+        matchings = _relabeled(rs.code, n, word)
+        for nodes in itertools.combinations(range(1, top + 1), len(word)):
+            tails = [x for x, letter in zip(nodes, word) if letter == "T"]
+            heads = [x for x, letter in zip(nodes, word) if letter == "H"]
+            found = [[[nodes[t], nodes[h]] for t, h in m] for m in matchings]
+            detail = {"I": tails, "J": heads, "count": len(found), "matchings": found}
+            witnesses.append(Violation("support", detail))
+    witnesses.sort(key=lambda w: (len(w.detail["I"]), w.detail["I"], w.detail["J"]))
     return AxiomReport("support", False, tuple(witnesses))
 
 
@@ -417,25 +397,25 @@ def _linkage_misses(code: int, n: int) -> tuple[LinkageMiss, ...]:
     return tuple(misses)
 
 
-def _first_failing_face(misses: Iterable[LinkageMiss], swap: bool, reverse: bool) -> list[Arrow]:
-    """The first face in the order of the linkage walk (``check_linkage_axiom``)
-    that fails linkage, for the code that a symmetry carries the misses of
-    its orbit's least code onto.  The walk yields faces in the order of
-    their sorted arrow tuples, and the least placement of a matching that
-    leaves a node outside in gap g puts position p on node p+1 when p < g
-    and on node p+2 when p >= g; the higher the gap, the lower every node.
-    So each matching fails first at its highest missed gap, on either side,
-    and the first face is the least of these placements.  A swap of T and
-    H exchanges the sides of each gap and reversal maps gap g to gap
+def _first_failing_face(misses: Iterable[LinkageMiss], swap: bool, reverse: bool) -> tuple:
+    """The first face, in the order of the sorted arrow tuples of the code's
+    matching faces, that fails linkage, for the code that a symmetry carries
+    the misses of its orbit's least code onto: (face, its nodes, the miss's
+    gap bits).  The least placement of a matching that leaves a node outside
+    in gap g puts position p on node p+1 when p < g and on node p+2 when
+    p >= g; the higher the gap, the lower every node.  So each matching
+    fails first at its highest missed gap, on either side, and the first
+    face is the least of these placements.  Reversal maps gap g to gap
     length-g."""
 
     def placed(length: int, m: Sequence[tuple[int, int]], missed: int) -> tuple:
         gaps = (missed | missed >> length + 1) & (1 << length + 1) - 1
         g = length + 1 - (gaps & -gaps).bit_length() if reverse else gaps.bit_length() - 1
         m = _moved(m, length - 1, swap, reverse)
-        return tuple((t + 1 + (t >= g), h + 1 + (h >= g)) for t, h in m)
+        return tuple((t + 1 + (t >= g), h + 1 + (h >= g)) for t, h in m), g, length, missed
 
-    return [Arrow(*arrow) for arrow in min(placed(*miss) for miss in misses)]
+    face, g, length, missed = min(placed(*miss) for miss in misses)
+    return face, tuple(p + 1 + (p >= g) for p in range(length)), missed
 
 
 def check_linkage_axiom(rs: RuleSet, n: int, all_witnesses: bool = False) -> AxiomReport:
@@ -444,50 +424,49 @@ def check_linkage_axiom(rs: RuleSet, n: int, all_witnesses: bool = False) -> Axi
 
     The verdict is decided once per T/H word of the orbit's least code
     (``_linkage_misses``): a symmetry carries faces and relinks onto the
-    other members.  The linkage walk lists the code's matching faces in the
-    order of their sorted arrow tuples: the clique walk on each arrow's
-    neighbours that share no node with it.  When the axiom fails, the first
-    failing face of that walk is read off the misses
-    (``_first_failing_face``); only for all witnesses is it walked.  Each
-    face reads the gaps it covers from its word's positions and lists its
-    outside nodes k and sides that no relink absorbs.  A single arrow
-    always relinks, so only faces of two or more arrows that leave a node
-    outside are tested."""
+    other members, so every failing face is a miss carried onto the code
+    and placed on some nodes of V_n.  The witnesses are listed in the order
+    of the faces' sorted arrow tuples: the first failing face is read off
+    the misses (``_first_failing_face``), and for all witnesses every miss
+    takes every placement on 1..n+1.  Each face lists its outside nodes k
+    and sides that no relink absorbs, read off the miss's own gap bits: a
+    swap of T and H exchanges the sides of each gap and reversal maps gap g
+    to gap length-g.  A single arrow always relinks, so misses have two or
+    more arrows."""
     check_ambient_size(n)
     least, swap, reverse = _orbit_relabel(rs.code)
     misses = _linkage_misses(least, n)
     if not misses:
         return AxiomReport("linkage", True)
     if all_witnesses:
-        arrows, masks = adjacency(rs, n)
-        # the matching faces on arrow indices, up to the faces that leave a
-        # node outside
-        walk = _iter_cliques(arrows, tuple(map(and_, masks, _walk_tables(n)[3])), n, n // 2)
-        faces = ([arrows[v] for v in face] for face, _ in walk if len(face) >= 2)
+        placements = sorted(
+            (tuple((nodes[t], nodes[h]) for t, h in moved), nodes, missed)
+            for length, m, missed in misses
+            for moved in [_moved(m, length - 1, swap, reverse)]
+            for nodes in itertools.combinations(range(1, n + 2), length)
+        )
     else:
-        faces = [_first_failing_face(misses, swap, reverse)]
+        placements = [_first_failing_face(misses, swap, reverse)]
     witnesses = []
-    for sigma in faces:
-        length = 2 * len(sigma)
-        at = {x: p for p, x in enumerate(sorted(x for a in sigma for x in a))}
-        cover = _gap_cover(_gap_table(rs.code, length), length, [(at[t], at[h]) for t, h in sigma])
-        if cover == (1 << 2 * length + 2) - 1:
-            continue
+    for face, nodes, missed in placements:
+        length = len(nodes)
         gap = 0  # the face's nodes below k
         for k in range(1, n + 2):
-            if k in at:
+            if gap < length and nodes[gap] == k:
                 gap += 1
                 continue
-            for side, bit in (("tail", gap), ("head", gap + length + 1)):
-                if cover >> bit & 1:
+            low = length - gap if reverse else gap  # the gap of the least code's word
+            sides = (low, low + length + 1)
+            for side, bit in zip(("tail", "head"), sides[::-1] if swap else sides):
+                if not missed >> bit & 1:
                     continue
                 witnesses.append(
                     Violation(
                         "linkage",
                         {
-                            "matching": _arrow_json(sigma),
-                            "I": sorted(a.tail for a in sigma),
-                            "J": sorted(a.head for a in sigma),
+                            "matching": [list(arrow) for arrow in face],
+                            "I": sorted(t for t, _ in face),
+                            "J": sorted(h for _, h in face),
                             "k": k,
                             "side": side,
                         },

@@ -10,8 +10,8 @@ are classified once and every row is an AND of node-range masks.
 Enumeration is depth-first over increasing arrow index; the resulting
 stream order (lexicographic on sorted arrow lists, empty face first) is
 part of the contract of ``enumerate_faces``.  ``_iter_cliques`` is the one
-enumerating walk: the axioms list their matching and circuit witnesses
-with it, on narrowed masks or with a subtree prune.
+enumerating walk: besides ``enumerate_faces``, only the circuit witnesses
+of the axioms are listed with it, with a subtree prune.
 
 Face tables are counted, not walked: a clique count memoised on the
 candidate mask yields the (forward, backward) polynomial of every complex
@@ -336,6 +336,8 @@ def enumerate_faces(
 ) -> Iterator[Face]:
     """Stream every face (clique) of the complex, empty face first,
     in lexicographic order on sorted arrow-index lists."""
+    if max_arrows is not None and max_arrows < 0:
+        raise ValueError(f"max_arrows must be >= 0, got {max_arrows}")
     check_resource_cap(n, force)
     arrows, masks = adjacency(rs, n)
     for indices, forest in _iter_cliques(arrows, masks, n, max_arrows):

@@ -555,6 +555,8 @@ def refined_backward_saturated_series(i: int, y_order: int, z_order: int) -> Ser
     """Saturated version of the prefix-restricted series, valid for i >= 1:
     (y z (1+z) C(yz(z+1)))^i / (1+z).  For i = 0 the family is just the
     empty face at n = 0."""
+    if i < 0:
+        raise ValueError("prefix length must be nonnegative")
     ring = SeriesRing(("y", "z"), (y_order, z_order))
     if i == 0:
         return ring.one()

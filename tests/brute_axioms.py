@@ -6,13 +6,15 @@ and none shares code with the library's clique walk: ``faces`` is a plain
 DFS over the neighbour masks that ``edge_masks`` builds from ``is_edge``, in
 the order of ``enumerate_faces``; ``is_forest`` strips leaves off each face
 from scratch; and a matching face is one whose arrows touch twice as many
-nodes as they number.  The library decides the same questions on adjacency
-bitmasks.  The reports must agree exactly, witnesses and their order
-included.  The same holds for the support matchings of one (I, J) and the
-matchings of one restriction pattern, which the library also reads off the
-masks.  ``has_circuit`` searches alternating cycles by a path DFS on the
-masks of ``edge_masks``; the library decides circuits per T/H word instead,
-from pairs of a word's matchings.  ``placement_prune`` is the circuit prune
+nodes as they number.  Support walks every (I, J) pair in order
+(``disjoint_pairs``) and linkage every matching face; the library places
+the failing words and linkage misses of the orbit's least code instead.
+The reports must agree exactly, witnesses and their order included.  The
+same holds for the support matchings of one (I, J) and the matchings of
+one restriction pattern, which the library also reads off the masks.
+``has_circuit`` searches alternating cycles by a path DFS on the masks of
+``edge_masks``; the library decides circuits per T/H word instead, from
+pairs of a word's matchings.  ``placement_prune`` is the circuit prune
 that the library's lazy embedding replaced: every circuit core placed on
 every node set up front, in a table keyed by the placed core's highest
 arrow.  ``linkage_holds_on_words`` is the placement walk that decided
@@ -49,7 +51,6 @@ from rootflags.axioms import (
     _alternates,
     _arrow_json,
     _circuit_cores,
-    _disjoint_pairs,
     _edge_set,
     _matchings_in,
     _moved,
@@ -222,9 +223,20 @@ def matching_faces(rs: RuleSet, n: int) -> Iterator[Matching]:
             yield frozenset(face)
 
 
+def disjoint_pairs(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All ordered pairs of disjoint nonempty equal-size subsets of 1..n+1,
+    in (|I|, I, J) order."""
+    nodes = range(1, n + 2)
+    for k in range(1, (n + 1) // 2 + 1):
+        for tails in itertools.combinations(nodes, k):
+            rest = [x for x in nodes if x not in tails]
+            for heads in itertools.combinations(rest, k):
+                yield tails, heads
+
+
 def check_support_axiom(rs: RuleSet, n: int, all_witnesses: bool = False) -> AxiomReport:
     witnesses = []
-    for tails, heads in _disjoint_pairs(n):
+    for tails, heads in disjoint_pairs(n):
         matchings = all_support_matchings(rs, tails, heads)
         if len(matchings) != 1:
             witnesses.append(

@@ -286,8 +286,28 @@ def test_passing_member_codes_read_their_orbit_verdicts(count_calls):
     reports = [axioms.verify(rs, n) for rs in members[:-1]]
     assert all(report.passed for report in sum(reports, []))
     assert relabels == [] and masks == [[], []]
-    # code 45 fails all three: its witness walks build its own masks, and
+    # code 45 fails all three: its circuit walk builds its own masks, and
     # support relabels only its first failing word
     assert not any(report.passed for report in axioms.verify(members[-1], n))
     assert len(relabels) == 1
     assert {args[0] for calls in masks for args in calls} == {45}
+
+
+def test_linkage_witnesses_are_placed_misses_of_the_orbit(monkeypatch, count_calls):
+    # every linkage witness, the first or all of them, is a placement of a
+    # miss of the orbit's least code: no code walks its own faces or builds
+    # its own masks or gap tables, whichever symmetry carries the misses
+    n = 6
+    fresh = lru_cache(maxsize=64)(axioms._linkage_misses.__wrapped__)
+    monkeypatch.setattr(axioms, "_linkage_misses", fresh)
+    walks = count_calls(axioms, "_iter_cliques")
+    masks = count_calls(axioms, "adjacency")
+    gaps = count_calls(axioms, "_gap_table")
+    codes = [RuleSet.from_code(code) for code in range(64)]
+    failed = 0
+    for rs in codes:
+        for all_witnesses in (False, True):
+            failed += not axioms.check_linkage_axiom(rs, n, all_witnesses).passed
+    assert failed == 2 * 26
+    assert walks == [] and masks == []
+    assert {code for code, _ in gaps} == {orbit_of(rs)[0].code for rs in codes}

@@ -7,7 +7,7 @@ alone would not show.  The gap-mask linkage verdict meets the placement
 walk it replaced, each code's verdicts decided on its orbit's least code
 meet those decided on its own word table, the per-word relabel meets the
 direct solve, the one-walk word table meets one search per word, and the
-first linkage witness read off the misses meets the face walk's first.
+first support and linkage witnesses lead the lists of all witnesses.
 Support matching lists (in their order) and restriction ensembles are
 compared the same way, and so are the face stream with its forest flags
 and the pruned walk that lists circuit faces.  On
@@ -88,10 +88,14 @@ def test_adjacency_masks_are_the_edge_predicate(n):
         assert adjacency(rs, n)[1] == brute.edge_masks(rs, n), rs.letters
 
 
-@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("n", range(6))
 def test_reports_match_oracle_all_witnesses(axiom_oracle, n):
+    # support and linkage list every witness as a placement of their
+    # orbit's failing words and misses, so the oracle's walks over every
+    # (I, J) pair and every matching face check them up to n = 5, where
+    # support first fails; n = 5 circuits have their own test below
     for rs in CODES:
-        for name in CHECKS:
+        for name in CHECKS if n < 5 else CHECKS[1:]:
             want = axiom_oracle(name, rs, n, all_witnesses=True)
             got = getattr(axioms, name)(rs, n, all_witnesses=True)
             assert got.to_json_dict() == want.to_json_dict(), (rs.letters, name)
@@ -121,9 +125,10 @@ def test_reports_match_oracle_first_witness_n5(axiom_oracle):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_first_support_witness_is_the_walks_first(n):
-    # the first witness is read off the word table; the walk over every
-    # (I, J) pair in order, which lists all witnesses, must start with it
+def test_first_support_witness_leads_all_witnesses(n):
+    # the first witness is the first failing word on nodes 1..2k; the list
+    # of every placement of every failing word, in (|I|, I, J) order, must
+    # start with it
     failed = 0
     for rs in CODES:
         every = axioms.check_support_axiom(rs, n, all_witnesses=True)
@@ -178,9 +183,10 @@ def test_word_table_walk_matches_per_word_solve(n):
 @pytest.mark.parametrize(
     "n", [*range(1, 8), *(pytest.param(n, marks=pytest.mark.slow) for n in (8, 9))]
 )
-def test_first_linkage_witness_is_the_walks_first(n):
-    # the first witness is read off the orbit's misses; the walk over every
-    # matching face in order, which lists all witnesses, must start with it
+def test_first_linkage_witness_leads_all_witnesses(n):
+    # the first witness is the least placement of the orbit's misses; the
+    # list of every placement of every miss, in the order of the faces'
+    # sorted arrow tuples, must start with it
     failed = 0
     for rs in CODES:
         every = axioms.check_linkage_axiom(rs, n, all_witnesses=True)
@@ -208,12 +214,25 @@ def test_linkage_gap_masks_match_placement_walk(n):
 
 @pytest.mark.slow
 def test_linkage_witnesses_match_oracle_n6(axiom_oracle):
-    # every linkage witness, in order, read off the gap masks of each face;
-    # the tier-1 comparison stops at n = 5 with the first witness
+    # every linkage witness, in order, placed from the orbit's misses; the
+    # tier-1 comparison of all witnesses stops at n = 5
     for rs in CODES:
         want = axiom_oracle("check_linkage_axiom", rs, 6, all_witnesses=True)
         got = axioms.check_linkage_axiom(rs, 6, all_witnesses=True)
         assert got.to_json_dict() == want.to_json_dict(), rs.letters
+
+
+@pytest.mark.slow
+def test_support_witnesses_match_oracle_n6(axiom_oracle):
+    # every support witness, in order, placed from the orbit's failing
+    # words; the tier-1 comparison of all witnesses stops at n = 5
+    failed = 0
+    for rs in CODES:
+        want = axiom_oracle("check_support_axiom", rs, 6, all_witnesses=True)
+        got = axioms.check_support_axiom(rs, 6, all_witnesses=True)
+        assert got.to_json_dict() == want.to_json_dict(), rs.letters
+        failed += not want.passed
+    assert failed > 0
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -352,7 +371,7 @@ def _support_matchings(rs, tails, heads):
 def test_support_matchings_match_oracle(shared_pair_relation):
     # n = 5 gives every disjoint (I, J) with |I| = |J| <= 3 on nodes 1..6,
     # so every T/H word of length <= 6 in every placement
-    pairs = list(axioms._disjoint_pairs(5))
+    pairs = list(brute.disjoint_pairs(5))
     assert len(pairs) == 140
     counts = set()
     for rs in CODES:

@@ -71,6 +71,13 @@ def test_enumeration_golden_stream():
         assert stream == golden
 
 
+def test_enumeration_refuses_a_negative_max_arrows():
+    # without the check the stream held only the empty face
+    with pytest.raises(ValueError, match="^max_arrows must be >= 0, got -1$"):
+        list(enumerate_faces(LEX, 2, max_arrows=-1))
+    assert [f.arrows for f in enumerate_faces(LEX, 2, max_arrows=0)] == [()]
+
+
 def test_face_metadata():
     face = Face((Arrow(1, 2), Arrow(3, 2)), 2, True)
     assert face.forward == 1 and face.backward == 1

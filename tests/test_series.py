@@ -31,6 +31,7 @@ from rootflags.series import (
     node_enriched_egf,
     psi_closed_form,
     psi_series,
+    refined_backward_saturated_series,
     refined_backward_series,
     revlex_facet_count,
     revlex_saturated_series,
@@ -244,6 +245,12 @@ def test_refined_backward_series():
     f1 = refined_backward_series(1, 6, 6)
     # every single backward arrow has a one-head prefix: (2,1), (3,1), (3,2)
     assert f1.coefficient(y=1, t=2) == 3
+
+
+@pytest.mark.parametrize("build", [refined_backward_series, refined_backward_saturated_series])
+def test_refined_backward_series_refuse_a_negative_prefix(build):
+    with pytest.raises(ValueError, match="^prefix length must be nonnegative$"):
+        build(-1, 3, 3)
 
 
 def test_g_k_values():

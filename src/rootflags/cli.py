@@ -367,9 +367,10 @@ def cmd_series_dump(args: argparse.Namespace) -> int:
     series: Series = builder(args)
     header = list(series.ring.variables) + ["numerator", "denominator"]
     unpack, den = series.ring.packing.unpack, series.den
-    terms = sorted((unpack(k), n) for k, n in series.terms.items())
-    # each coefficient n/den in lowest terms, with no Fraction per term
-    rows = (list(exps) + [n // g, den // g] for exps, n in terms for g in (gcd(n, den),))
+    # each coefficient n/den in lowest terms, with no Fraction per term; the
+    # exponents are distinct, so the rows sort by them alone
+    rows = sorted(unpack(k) + (n // g, den // g)
+                  for k, n in series.terms.items() for g in (gcd(n, den),))
     _emit("csv", {}, lambda: (), header, rows)
     return 0
 

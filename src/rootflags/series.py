@@ -829,60 +829,53 @@ def node_enriched_egf(u_order: int, v_order: int, z_order: int | None = None) ->
     size.  A node that is simultaneously a left end and a right end (the
     shared head or tail absorbed by the derivative terms) is counted in
     neither exponent.
+
+    It is 1 + (D~x + D~y + D~x D~y) / z + (D~x_u D~y_v + D~x_v D~y_u) / z^2
+    for D~x = D~(uz, vz, x), D~y = D~(vz, uz, y).  Each factor is built with
+    its share of the division by z taken off, in the output ring: a factor
+    term above z_order cannot reach the result, as every term carries z.
     """
     if z_order is None:
         # at u_order = v_order = 0 the series is the constant 1, with no z term
         z_order = max(u_order + v_order - 1, 0)
     x_order = u_order + v_order
-    # Assemble in a ring with z-headroom for the two later monomial
-    # divisions, then truncate down.
-    work = SeriesRing(
-        ("u", "v", "x", "y", "z"), (u_order, v_order, x_order, x_order, z_order + 2)
-    )
+    # refuses a negative order before any factor is built
+    ring = SeriesRing(("u", "v", "x", "y", "z"), (u_order, v_order, x_order, x_order, z_order))
+    (u_at, _), (v_at, _), (x_at, _), (y_at, _), (z_at, _) = ring.packing.slots
 
-    def factor(du: int, dv: int, swap: bool, arrow_var: int) -> Series:
-        """D~(uz, vz, .) with the first slot differentiated du times and the
-        second dv times (du, dv in {0, 1}); swap routes the slots to (v, u)
-        and arrow_var picks the step-marking variable (2 = x, 3 = y)."""
+    def factor(du: int, dv: int, swap: bool, arrow_at: int, lower: int = 1) -> Series:
+        """D~(uz, vz, .) / z^lower with the first slot differentiated du
+        times and the second dv times (du, dv in {0, 1}); swap routes the
+        slots to (v, u) and arrow_at is the packed shift of the
+        step-marking variable (x or y)."""
         first_limit = (v_order if swap else u_order) + du
         second_limit = (u_order if swap else v_order) + dv
+        first_at, second_at = (v_at, u_at) if swap else (u_at, v_at)
         # every term's factorial denominator divides den: integer numerators
         den = factorial(first_limit - du) * factorial(second_limit - dv)
-        terms = []
+        terms = {}
         for a in range(first_limit):
             for b in range(second_limit):
+                zdeg = a + b + 2 - lower
+                if zdeg > z_order:
+                    break
                 first_exp, second_exp = a + 1 - du, b + 1 - dv
-                zdeg = a + b + 2
-                if zdeg > z_order + 2:
-                    continue
                 scale = den // (factorial(first_exp) * factorial(second_exp))
-                for j, c in enumerate(delannoy_poly(a, b)):
-                    # a block with a j-step path carries j + 1 arrows
-                    if not c or j + 1 > x_order:
-                        continue
-                    vec = [second_exp, first_exp] if swap else [first_exp, second_exp]
-                    vec += [0, 0, zdeg]
-                    vec[arrow_var] = j + 1
-                    terms.append((tuple(vec), c * scale))
-        return work.from_terms(terms) * Fraction(1, den)
+                base = first_exp << first_at | second_exp << second_at | zdeg << z_at
+                # a block with a j-step path carries j + 1 arrows
+                for j, c in enumerate(delannoy_poly(a, b)[:x_order]):
+                    if c:
+                        terms[base | (j + 1) << arrow_at] = c * scale
+        return Series._of(ring, den, terms)
 
-    d_x = factor(0, 0, swap=False, arrow_var=2)  # D~(uz, vz, x)
-    d_y = factor(0, 0, swap=True, arrow_var=3)  # D~(vz, uz, y)
-    du_x = factor(1, 0, swap=False, arrow_var=2)  # d/du of D~(uz, vz, x)
-    dv_x = factor(0, 1, swap=False, arrow_var=2)
-    du_y = factor(0, 1, swap=True, arrow_var=3)  # d/du hits the second slot
-    dv_y = factor(1, 0, swap=True, arrow_var=3)
-
-    out = (
-        work.one()
-        + d_x.divide_by_monomial("z", 1)
-        + d_y.divide_by_monomial("z", 1)
-        + (d_x * d_y).divide_by_monomial("z", 1)
-        + (du_x * dv_y).divide_by_monomial("z", 2)
-        + (dv_x * du_y).divide_by_monomial("z", 2)
-    )
-    target = SeriesRing(work.variables, (u_order, v_order, x_order, x_order, z_order))
-    return out.map_ring(target, {})
+    d_x = factor(0, 0, swap=False, arrow_at=x_at)  # D~(uz, vz, x) / z
+    d_y = factor(0, 0, swap=True, arrow_at=y_at)  # D~(vz, uz, y) / z
+    du_x = factor(1, 0, swap=False, arrow_at=x_at)  # d/du of D~(uz, vz, x), / z
+    dv_x = factor(0, 1, swap=False, arrow_at=x_at)
+    du_y = factor(0, 1, swap=True, arrow_at=y_at)  # d/du hits the second slot
+    dv_y = factor(1, 0, swap=True, arrow_at=y_at)
+    cross_y = factor(0, 0, swap=True, arrow_at=y_at, lower=0)  # the cross term's 1/z is d_x's
+    return ring.one() + d_x + d_y + d_x * cross_y + du_x * dv_y + dv_x * du_y
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,19 @@ must equal the oracle's dict exactly.
 The subset sum that ``catalan_run_identity`` replaced with a transfer over
 positions is kept here as its oracle, and so are the quadratic fixed-point
 iterations that ``catalan_of`` and ``backward_only_series`` replaced with a
-Horner sum of the Catalan coefficients.
+Horner sum of the Catalan coefficients, and ``node_enriched_egf``'s
+assembly in a work ring with z-headroom, which it replaced with factors
+built in the output ring.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial
 from typing import Iterable, Mapping, Sequence
 
-from rootflags.series import Exponents, Series, SeriesRing, catalan_number
+from rootflags.series import Exponents, Series, SeriesRing, catalan_number, delannoy_poly
 
 #: The oracle's form of a series; a ``Mapping`` argument is one of these or a
 #: ``Series.coeffs`` view.
@@ -184,3 +187,62 @@ def backward_only_fixed_point(y_order: int, t_order: int) -> Series:
             break
         f = nxt
     return f
+
+
+def node_enriched_egf_work_ring(u_order: int, v_order: int, z_order: int | None = None) -> Series:
+    """``node_enriched_egf`` as it was assembled before it was built in its
+    output ring: the factors in a ring with two more powers of z, the five
+    monomial divisions, and a change of ring down to the orders."""
+    if z_order is None:
+        # at u_order = v_order = 0 the series is the constant 1, with no z term
+        z_order = max(u_order + v_order - 1, 0)
+    x_order = u_order + v_order
+    # Assemble in a ring with z-headroom for the two later monomial
+    # divisions, then truncate down.
+    work = SeriesRing(
+        ("u", "v", "x", "y", "z"), (u_order, v_order, x_order, x_order, z_order + 2)
+    )
+
+    def factor(du: int, dv: int, swap: bool, arrow_var: int) -> Series:
+        """D~(uz, vz, .) with the first slot differentiated du times and the
+        second dv times (du, dv in {0, 1}); swap routes the slots to (v, u)
+        and arrow_var picks the step-marking variable (2 = x, 3 = y)."""
+        first_limit = (v_order if swap else u_order) + du
+        second_limit = (u_order if swap else v_order) + dv
+        # every term's factorial denominator divides den: integer numerators
+        den = factorial(first_limit - du) * factorial(second_limit - dv)
+        terms = []
+        for a in range(first_limit):
+            for b in range(second_limit):
+                first_exp, second_exp = a + 1 - du, b + 1 - dv
+                zdeg = a + b + 2
+                if zdeg > z_order + 2:
+                    continue
+                scale = den // (factorial(first_exp) * factorial(second_exp))
+                for j, c in enumerate(delannoy_poly(a, b)):
+                    # a block with a j-step path carries j + 1 arrows
+                    if not c or j + 1 > x_order:
+                        continue
+                    vec = [second_exp, first_exp] if swap else [first_exp, second_exp]
+                    vec += [0, 0, zdeg]
+                    vec[arrow_var] = j + 1
+                    terms.append((tuple(vec), c * scale))
+        return work.from_terms(terms) * Fraction(1, den)
+
+    d_x = factor(0, 0, swap=False, arrow_var=2)  # D~(uz, vz, x)
+    d_y = factor(0, 0, swap=True, arrow_var=3)  # D~(vz, uz, y)
+    du_x = factor(1, 0, swap=False, arrow_var=2)  # d/du of D~(uz, vz, x)
+    dv_x = factor(0, 1, swap=False, arrow_var=2)
+    du_y = factor(0, 1, swap=True, arrow_var=3)  # d/du hits the second slot
+    dv_y = factor(1, 0, swap=True, arrow_var=3)
+
+    out = (
+        work.one()
+        + d_x.divide_by_monomial("z", 1)
+        + d_y.divide_by_monomial("z", 1)
+        + (d_x * d_y).divide_by_monomial("z", 1)
+        + (du_x * dv_y).divide_by_monomial("z", 2)
+        + (dv_x * du_y).divide_by_monomial("z", 2)
+    )
+    target = SeriesRing(work.variables, (u_order, v_order, x_order, x_order, z_order))
+    return out.map_ring(target, {})

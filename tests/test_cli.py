@@ -1,13 +1,17 @@
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rootflags import RuleSet, checks as checks_mod, support_matching
+from rootflags import RuleSet, checks as checks_mod, cli as cli_mod, support_matching
 from rootflags.cli import EXCESS_N_CAP, MATCH_SIZE_CAP, SERIES_ORDER_CAP, build_parser, main
+from rootflags.series import SeriesRing
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +187,25 @@ def test_series_dump_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "u,numerator,denominator"
     assert lines[-1] == "4,14,1"
+
+
+def test_series_dump_rows_match_the_series_items(capsys, monkeypatch):
+    ring = SeriesRing(("a", "b", "c"), (3, 2, 2))
+    # the last variable has the top slot, so c^1 packs above a^3 b^2 while
+    # it sorts below it; the common denominator is 12
+    series = ring.from_terms([
+        ((3, 2, 0), Fraction(-5, 4)), ((0, 0, 1), Fraction(2, 3)), ((1, 0, 2), -7),
+        ((0, 1, 0), Fraction(1, 6)), ((0, 0, 0), 3), ((2, 2, 2), Fraction(-1, 12)),
+    ])
+    assert series.den == 12 and sorted(series.terms) != [
+        ring.packing.pack(exps) for exps, _ in series.items()
+    ]
+    monkeypatch.setitem(cli_mod._DUMPABLE, "three-variables", lambda args: series)
+    code, out, err = run_cli(capsys, "series", "dump", "--which", "three-variables")
+    assert (code, err) == (0, "")
+    want = [["a", "b", "c", "numerator", "denominator"]]
+    want += [[*map(str, exps), str(c.numerator), str(c.denominator)] for exps, c in series.items()]
+    assert list(csv.reader(io.StringIO(out))) == want
 
 
 def test_series_dump_unknown(capsys):

@@ -14,31 +14,46 @@ cancel.  The series functions that are made of products (``__pow__``,
 ``catalan_of``, ``simion_saturated_series``) are compared with the same
 functions run on the oracle multiplication.  ``catalan_of`` and
 ``backward_only_series`` sum Catalan coefficients by Horner's rule; they are
-also compared with the quadratic fixed-point iterations they replaced.
+also compared with the quadratic fixed-point iterations they replaced, and
+``node_enriched_egf``, built in its output ring, with the work-ring assembly
+it replaced.  Each drawn series is one flat list of ints, one per term.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import brute_series as brute
 from brute_series import brute_mul
+from rootflags import series as series_mod
+from rootflags.cli import main
 from rootflags.series import (
     Series,
     SeriesRing,
     backward_only_series,
     catalan_of,
+    node_enriched_egf,
     simion_saturated_series,
 )
 
 VARIABLES = "abcde"
 
+#: The values a drawn term's coefficient takes: the nonzero n/d with
+#: |n| <= 30 and d <= 12; and the scalar pools, the ints -6..6 and the n/d
+#: with |n| <= 9 and d <= 9.
+COEFFICIENTS = tuple(Fraction(n, d) for d in range(1, 13) for n in range(-30, 31) if n)
+SCALAR_INTS = tuple(range(-6, 7))
+SCALAR_FRACTIONS = tuple(Fraction(n, d) for n in range(-9, 10) for d in range(1, 10))
 coefficients = st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 12))
-scalars = st.one_of(
-    st.integers(-6, 6), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
-)
+scalars = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+
+#: Hypothesis draws a bounded int uniformly only below 256 and from a
+#: long-tailed law above, so the high digits of a raw term code would almost
+#: always be 0.  Multiplying by this prime, which is coprime to every code
+#: range, spreads the codes over all digits.
+SPREAD = 2**61 - 1
 
 
 @st.composite
@@ -50,15 +65,32 @@ def rings(draw, max_vars=5, max_order=12):
     return SeriesRing(tuple(VARIABLES[:k]), tuple(orders))
 
 
-def exponents_of(ring, high=14):
-    return st.tuples(*(st.integers(0, high) for _ in ring.orders))
+def terms_in(ring, pools=(COEFFICIENTS,), cut=True, max_size=8):
+    """Lists of terms drawn as one flat list of ints, one per term.  Each
+    code, times ``SPREAD``, is read in mixed radix: a pool, a value in it,
+    then one exponent 0-14 per variable, cut to its order when ``cut``.
+    Every digit is near uniform, as it was when each had its own draw."""
+    orders = ring.orders
+    radix = lcm(*map(len, pools))  # a multiple of every pool's length
+    size = len(pools) * radix * 15 ** len(orders)
+
+    def decode(code):
+        code, p = divmod(code * SPREAD % size, len(pools))
+        code, i = divmod(code, radix)
+        exps = []
+        for order in orders:
+            code, e = divmod(code, 15)
+            exps.append(min(e, order) if cut else e)
+        return tuple(exps), pools[p][i % len(pools[p])]
+
+    codes = st.integers(0, size - 1)
+    return st.lists(codes, max_size=max_size).map(lambda drawn: [decode(c) for c in drawn])
 
 
 def series_in(ring):
     """Sparse series of the ring; a drawn exponent above its order is cut
     to the order, so terms at the order boundary are frequent."""
-    exponents = exponents_of(ring).map(lambda es: tuple(map(min, es, ring.orders)))
-    return st.lists(st.tuples(exponents, coefficients), max_size=8).map(ring.from_terms)
+    return terms_in(ring).map(ring.from_terms)
 
 
 @st.composite
@@ -127,10 +159,10 @@ def test_linear_operations_match_brute(pair, factor):
 @given(data=st.data())
 def test_from_terms_matches_brute(data):
     ring = data.draw(rings())
-    # exponents up to 14 leave the orders; repeated keys add and may cancel
-    terms = data.draw(
-        st.lists(st.tuples(exponents_of(ring), st.one_of(coefficients, scalars)), max_size=10)
-    )
+    # exponents up to 14 leave the orders; repeated keys add and may cancel.
+    # The values come from the three pools of st.one_of(coefficients, scalars).
+    pools = (COEFFICIENTS, SCALAR_INTS, SCALAR_FRACTIONS)
+    terms = data.draw(terms_in(ring, pools, cut=False, max_size=10))
     if terms:
         repeats = data.draw(st.lists(st.sampled_from(terms), max_size=3))
         terms += [(exps, -c) for exps, c in repeats]
@@ -297,3 +329,44 @@ def test_simion_series_matches_brute(nesting, orders):
         simion_saturated_series(nesting, *orders),
         with_brute_mul(simion_saturated_series, nesting, *orders),
     )
+
+
+def test_node_enriched_egf_matches_the_work_ring():
+    cases = [(8, 8, None)]  # the benchmark's orders
+    for u_order in range(7):
+        for v_order in range(7):
+            default = max(u_order + v_order - 1, 0)
+            for z_order in {None, 0, max(default - 1, 0), default + 2}:
+                cases.append((u_order, v_order, z_order))
+    for orders in cases:
+        fast = node_enriched_egf(*orders)
+        assert fast == brute.node_enriched_egf_work_ring(*orders), orders
+        # == compares den and the packed terms, so at the other z_orders the
+        # result has the oracle's canonical form; checking one per (u, v)
+        # keeps the grid near half a second
+        if orders[2] is None:
+            assert_canonical(fast)
+
+
+def test_node_enriched_egf_needs_no_monomial_division_or_change_of_ring(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("node_enriched_egf is assembled in its output ring")
+
+    want = brute.node_enriched_egf_work_ring(5, 5)
+    monkeypatch.setattr(Series, "divide_by_monomial", refuse)
+    monkeypatch.setattr(Series, "map_ring", refuse)
+    assert node_enriched_egf(5, 5) == want
+    assert main(["series", "dump", "--which", "node-egf", "--uvorder", "5"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows == [",".join(map(str, [*e, c.numerator, c.denominator])) for e, c in want.items()]
+
+
+@pytest.mark.parametrize("orders", [(-1, 2), (2, -1), (2, 2, -1)])
+def test_node_enriched_egf_refuses_negative_orders_before_any_factor(monkeypatch, orders):
+    def refuse(*args):
+        raise AssertionError("a factor was built")
+
+    monkeypatch.setattr(series_mod, "delannoy_poly", refuse)
+    monkeypatch.setattr(Series, "_of", refuse)
+    with pytest.raises(ValueError):
+        node_enriched_egf(*orders)
